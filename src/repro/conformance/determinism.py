@@ -51,6 +51,12 @@ def _fc_shape_for(seed: int) -> Dict[str, int]:
             "k_split": cols}
 
 
+#: every per-request array of a serving report
+_SERVING_ARRAYS = ("latencies_us", "queue_wait_us", "batch_wait_us",
+                   "execute_us", "arrivals_us", "batch_index", "status",
+                   "retry_overhead_us", "attempts", "abort_us")
+
+
 def check_sim_determinism(seed: int) -> DeterminismResult:
     """Replay one FC kernel on the DES; see module docstring."""
     from repro import Accelerator
@@ -291,7 +297,7 @@ def check_fault_injection_noop(seed: int) -> DeterminismResult:
 
     :mod:`repro.faults` threads penalty queries through every hardware
     hot path (DRAM, SRAM, NoC, reduction network, CP dispatch) and the
-    resilient serving loop.  The contract mirrors PR 1's hooks-are-
+    serving engine's card model.  The contract mirrors PR 1's hooks-are-
     no-ops rule: attaching a :class:`~repro.faults.FaultInjector` whose
     plan is *empty* must leave cycles, outputs, stall attributions, and
     serving latencies bit-identical to no injector at all — faults are
@@ -302,7 +308,6 @@ def check_fault_injection_noop(seed: int) -> DeterminismResult:
     from repro.kernels.fc import run_fc
     from repro.kernels.tbe import TBEConfig, run_tbe
     from repro.obs.metrics import MetricRegistry
-    from repro.serving.resilience import simulate_serving_resilient
     from repro.serving.simulator import BatchingConfig, simulate_serving
 
     res = DeterminismResult(seed=seed, kind="faults")
@@ -374,23 +379,21 @@ def check_fault_injection_noop(seed: int) -> DeterminismResult:
     def latency_model(batch: int) -> float:
         return base + slope * batch
 
-    plain = simulate_serving(latency_model, qps, batching,
-                             num_requests=400, seed=seed,
-                             registry=MetricRegistry())
-    injected = simulate_serving_resilient(
-        latency_model, qps, batching, num_requests=400, seed=seed,
-        faults=FaultInjector(empty_plan), registry=MetricRegistry())
-    for field_name in ("latencies_us", "queue_wait_us", "batch_wait_us",
-                       "execute_us", "arrivals_us", "batch_index"):
+    def serve(faults):
+        return simulate_serving(latency_model, qps, batching,
+                                num_requests=400, seed=seed, faults=faults,
+                                registry=MetricRegistry())
+
+    plain = serve(None)
+    injected = serve(FaultInjector(empty_plan))
+    for field_name in _SERVING_ARRAYS:
         if not np.array_equal(getattr(injected, field_name),
-                              getattr(plain, field_name)):
+                              getattr(plain, field_name), equal_nan=True):
             res.violations.append(
-                "resilient serving with an empty fault plan changed "
-                f"{field_name} vs the plain simulator")
+                f"serving with an empty fault plan changed {field_name}")
     if injected.batch_sizes != plain.batch_sizes:
         res.violations.append(
-            "resilient serving with an empty fault plan changed batch "
-            "boundaries")
+            "serving with an empty fault plan changed batch boundaries")
     if injected.availability != 1.0:
         res.violations.append(
             f"empty fault plan aborted requests "
@@ -401,14 +404,18 @@ def check_fault_injection_noop(seed: int) -> DeterminismResult:
 def check_serving_determinism(seed: int) -> DeterminismResult:
     """Replay one serving simulation; spans/metrics must be no-ops.
 
-    Three invariants: (a) the same seed replays bit-identically, (b)
-    attaching an enabled SpanTracer + registry leaves every latency and
-    phase attribution bit-identical, (c) a *disabled* SpanTracer
-    records nothing.
+    Four invariants: (a) the same seed replays bit-identically, (b)
+    attaching an enabled SpanTracer + registry leaves every report
+    array bit-identical, (c) a *disabled* SpanTracer records nothing,
+    and (d) spans stay no-ops on a seeded run with deadlines, retries
+    and load shedding, where every traced request must belong to the
+    batch that served it.
     """
     from repro.obs.metrics import MetricRegistry
     from repro.obs.spans import SpanTracer
-    from repro.serving.simulator import BatchingConfig, simulate_serving
+    from repro.serving.resilience import ResilienceConfig
+    from repro.serving.simulator import (STATUS_SERVED, BatchingConfig,
+                                         simulate_serving)
 
     rng = np.random.default_rng(seed)
     qps = float(rng.uniform(2_000, 200_000))
@@ -416,37 +423,58 @@ def check_serving_determinism(seed: int) -> DeterminismResult:
     slope = float(rng.uniform(0.5, 5.0))
     batching = BatchingConfig(max_batch=int(rng.choice([16, 64, 256])),
                               max_wait_us=float(rng.uniform(50, 400)))
+    resilient = ResilienceConfig(
+        deadline_us=float(rng.uniform(1.0, 4.0)) * (base + slope * 16),
+        max_retries=int(rng.integers(1, 4)),
+        retry_backoff_us=float(rng.uniform(20, 200)),
+        shed_queue_depth=int(rng.choice([8, 32, 128])))
 
     def latency_model(batch: int) -> float:
         return base + slope * batch
 
-    def once(spans=None, registry=None):
+    def once(spans=None, registry=None, resilience=ResilienceConfig()):
         return simulate_serving(latency_model, qps, batching,
                                 num_requests=400, seed=seed,
-                                registry=registry, spans=spans)
+                                registry=registry, spans=spans,
+                                resilience=resilience)
+
+    def compare(observed, reference, what: str) -> None:
+        for field_name in _SERVING_ARRAYS:
+            if not np.array_equal(getattr(observed, field_name),
+                                  getattr(reference, field_name),
+                                  equal_nan=True):
+                res.violations.append(f"{what} changed {field_name}")
 
     res = DeterminismResult(seed=seed, kind="serving")
     plain_a = once()
     plain_b = once()
     res.cycles = float(plain_a.latencies_us.sum())
-    if not np.array_equal(plain_a.latencies_us, plain_b.latencies_us):
-        res.violations.append("serving replay latencies differ")
+    compare(plain_b, plain_a, "serving replay")
 
     disabled = SpanTracer(enabled=False)
-    observed = once(spans=SpanTracer(enabled=True),
-                    registry=MetricRegistry())
-    for field_name in ("latencies_us", "queue_wait_us", "batch_wait_us",
-                       "execute_us"):
-        if not np.array_equal(getattr(observed, field_name),
-                              getattr(plain_a, field_name)):
-            res.violations.append(
-                f"enabling spans/metrics changed {field_name}")
-    off = once(spans=disabled)
+    compare(once(spans=SpanTracer(enabled=True), registry=MetricRegistry()),
+            plain_a, "enabling spans/metrics")
+    compare(once(spans=disabled), plain_a, "a disabled span tracer")
     if disabled.spans:
         res.violations.append(
             f"disabled span tracer recorded {len(disabled.spans)} spans")
-    if not np.array_equal(off.latencies_us, plain_a.latencies_us):
-        res.violations.append("disabled span tracer changed latencies")
+
+    bare = once(resilience=resilient)
+    spans = SpanTracer(enabled=True)
+    traced = once(spans=spans, registry=MetricRegistry(),
+                  resilience=resilient)
+    compare(traced, bare, "enabling spans on a resilient run")
+    requests = [s for s in spans.spans if s.name.startswith("req")]
+    if not requests and traced.served_mask.any():
+        res.violations.append("resilient run traced no served request")
+    for span in requests:
+        r = int(span.track.rsplit(".", 1)[1])
+        if (traced.status[r] != STATUS_SERVED
+                or traced.batch_index[r] != span.args["batch"]):
+            res.violations.append(
+                f"traced request {r} is not served by batch "
+                f"{span.args['batch']}")
+            break
     return res
 
 
@@ -546,8 +574,8 @@ def check_fleet_determinism(seed: int) -> DeterminismResult:
     from repro.serving.fleet import (FleetConfig, RouterConfig,
                                      TabularLatencyModel, simulate_fleet,
                                      uniform_fleet)
-    from repro.serving.resilience import (ResilienceConfig,
-                                          simulate_serving_resilient)
+    from repro.serving.resilience import ResilienceConfig
+    from repro.serving.simulator import simulate_serving
     from repro.serving.traffic import trace_preset
 
     rng = np.random.default_rng(seed)
@@ -589,7 +617,7 @@ def check_fleet_determinism(seed: int) -> DeterminismResult:
                        resilience=config.resilience, seed=seed)
     arrivals = trace.arrivals(seed)
     fleet = simulate_fleet(model, arrivals, solo, jobs=1)
-    bare = simulate_serving_resilient(
+    bare = simulate_serving(
         model, qps=0.0, resilience=config.resilience, seed=0,
         collect_telemetry=True, arrivals=arrivals)
     for field_name in ("latencies_us", "queue_wait_us", "batch_wait_us",
@@ -812,8 +840,7 @@ def check_critical_noop(seed: int) -> DeterminismResult:
     from repro.serving.fleet import (ROUTING_POLICIES, FleetConfig,
                                      RouterConfig, TabularLatencyModel,
                                      simulate_fleet, uniform_fleet)
-    from repro.serving.resilience import (ResilienceConfig,
-                                          simulate_serving_resilient)
+    from repro.serving.resilience import ResilienceConfig
     from repro.serving.simulator import BatchingConfig, simulate_serving
     from repro.serving.traffic import trace_preset
 
@@ -889,7 +916,7 @@ def check_critical_noop(seed: int) -> DeterminismResult:
     fault_plan = FaultPlan.generate(
         seed, FaultProfile(horizon_us=30_000.0),
         kinds=("card.failure", "card.slowdown"))
-    faulted = simulate_serving_resilient(
+    faulted = simulate_serving(
         latency_model, qps, batching, num_requests=300, seed=seed,
         resilience=ResilienceConfig(deadline_us=8_000.0, max_retries=1),
         faults=FaultInjector(fault_plan))

@@ -36,9 +36,8 @@ import numpy as np
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import PERMANENT, FaultEvent, FaultPlan, FaultProfile
 from repro.parallel import parallel_map
-from repro.serving.resilience import (ResilienceConfig,
-                                      simulate_serving_resilient)
-from repro.serving.simulator import BatchingConfig
+from repro.serving.resilience import ResilienceConfig
+from repro.serving.simulator import BatchingConfig, simulate_serving
 from repro.serving.slo import slo_from_report
 
 SCHEMA_VERSION = 1
@@ -181,14 +180,14 @@ def run_scenario(name: str, seed: int, cfg: CampaignConfig) -> Dict:
     from repro.obs.metrics import MetricRegistry
 
     plan, res, qps = _scenario_setup(name, seed, cfg)
-    faulted = simulate_serving_resilient(
-        synthetic_latency_model, qps, CAMPAIGN_BATCHING, res,
-        num_requests=cfg.requests, seed=seed,
+    faulted = simulate_serving(
+        synthetic_latency_model, qps, CAMPAIGN_BATCHING,
+        resilience=res, num_requests=cfg.requests, seed=seed,
         faults=FaultInjector(plan), registry=MetricRegistry(),
         collect_telemetry=True, replica=seed)
-    baseline = simulate_serving_resilient(
+    baseline = simulate_serving(
         synthetic_latency_model, qps, CAMPAIGN_BATCHING,
-        ResilienceConfig(num_cards=res.num_cards),
+        resilience=ResilienceConfig(num_cards=res.num_cards),
         num_requests=cfg.requests, seed=seed, registry=MetricRegistry(),
         collect_telemetry=True, replica=seed)
 

@@ -9,7 +9,7 @@ One :class:`FaultInjector` serves both fault domains:
   ``engine.faults`` (attached with :meth:`attach`);
 * the **serving** queries (``card_available_at``, ``card_failure_in``,
   ``card_slowdown``) are consulted by the request-level serving
-  simulator (:func:`repro.serving.resilience.simulate_serving_resilient`).
+  simulator (:func:`repro.serving.simulator.simulate_serving`).
 
 Injection is *purely reactive*: the injector never schedules events of
 its own and never draws randomness.  A query answers "is an access at

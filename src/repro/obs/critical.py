@@ -468,15 +468,13 @@ def serving_critical_path(report, r: int) -> CriticalPath:
     if not 0 <= r < n:
         raise IndexError(f"request {r} out of range (n={n})")
     arr = float(report.arrivals_us[r])
-    status_code = (int(report.status[r]) if report.status.size
-                   else STATUS_SERVED)
+    status_code = int(report.status[r])
     status = STATUS_NAMES[status_code]
-    retry = (float(report.retry_overhead_us[r])
-             if report.retry_overhead_us.size else 0.0)
+    retry = float(report.retry_overhead_us[r])
     segments: List[Segment] = []
 
     if status_code == STATUS_SERVED:
-        k = int(report.batch_index[r]) if report.batch_index.size else -1
+        k = int(report.batch_index[r])
         if not 0 <= k < len(report.batches):
             raise CriticalPathError(
                 f"served request {r} has no batch record (index {k})")
@@ -512,8 +510,7 @@ def serving_critical_path(report, r: int) -> CriticalPath:
         segments.append(Segment(t3, end, end - t3, "abort", "abort",
                                 status))
         total = end - arr              # == fail_t - arrivals[r] bitwise
-        batch_id = (int(report.batch_index[r])
-                    if report.batch_index.size else -1)
+        batch_id = int(report.batch_index[r])
 
     path = CriticalPath(unit="us", total=total, start=arr, end=end,
                         segments=segments,
@@ -582,9 +579,7 @@ def slowest_critical_paths(report, k: int = 8) -> List[CriticalPath]:
     latencies = report.latencies_us
     if latencies.size == 0:
         return []
-    mask = report.served_mask
-    candidates = (np.arange(latencies.size) if mask is None
-                  else np.flatnonzero(mask))
+    candidates = np.flatnonzero(report.served_mask)
     if candidates.size == 0:
         return []
     order = candidates[np.argsort(latencies[candidates],

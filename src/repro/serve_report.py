@@ -601,7 +601,7 @@ def build_fleet_chrome_trace(fleet_report, max_requests: int = 32) -> dict:
         r = int(report.replica[i])
         pos = int(report.replica_pos[i])
         local = report.per_replica[r]
-        b = int(local.batch_index[pos]) if local.batch_index.size else -1
+        b = int(local.batch_index[pos])
         route_end = arrival + float(report.route_overhead_us[i])
         track = f"request.{i}"
         router_span = spans.add(

@@ -4,12 +4,14 @@ The paper's motivation is datacenter economics — perf/TCO of *serving*
 recommendation requests (Sections 1-2).  This package closes the loop
 from the operator-level models back to that context:
 
-* :mod:`repro.serving.simulator` — a request-level queueing simulator:
-  Poisson arrivals, a batching window, per-batch latency from the
-  analytical model, latency percentiles and throughput, plus an exact
-  per-request queue-wait / batch-formation-wait / execute attribution
-  and optional request-waterfall span tracing;
-* :mod:`repro.serving.resilience` — the failure-handling layer:
+* :mod:`repro.serving.simulator` — the one request-level serving
+  engine, :func:`~repro.serving.simulator.simulate_serving`: Poisson
+  or injected arrivals, a batching window, per-batch latency from the
+  analytical model, latency percentiles and throughput, an exact
+  per-request retry / batch-formation / queue / execute attribution,
+  optional request-waterfall span tracing, and the failure handling a
+  :class:`~repro.serving.resilience.ResilienceConfig` switches on;
+* :mod:`repro.serving.resilience` — the failure-handling knobs:
   per-attempt deadlines, capped-backoff retries, hedged dispatch, load
   shedding, and card failover driven by :mod:`repro.faults`;
 * :mod:`repro.serving.slo` — rolling p50/p95/p99 windows and
@@ -24,7 +26,7 @@ from the operator-level models back to that context:
 * :mod:`repro.serving.fleet` — the datacenter tier: a router with
   pluggable seeded policies (round-robin, least-loaded, power-of-two,
   hedging) in front of N sharded/replicated multi-card replicas, each
-  an independent :func:`~repro.serving.resilience.simulate_serving_resilient`
+  an independent :func:`~repro.serving.simulator.simulate_serving`
   run, with correlated rack/power failures and burn-driven autoscaling;
 * :mod:`repro.serving.capacity` — fleet sizing: closed-form per-card
   throughput (:func:`~repro.serving.capacity.plan_capacity`) and the
@@ -51,8 +53,7 @@ from repro.serving.fleet import (ROUTING_POLICIES, AutoscaleConfig,
                                  TabularLatencyModel,
                                  sharded_latency_table, simulate_fleet,
                                  simulate_fleet_autoscaled, uniform_fleet)
-from repro.serving.resilience import (ResilienceConfig,
-                                      simulate_serving_resilient)
+from repro.serving.resilience import ResilienceConfig
 from repro.serving.simulator import (STATUS_FAILED, STATUS_NAMES,
                                      STATUS_SERVED, STATUS_SHED,
                                      STATUS_TIMEOUT, BatchingConfig,
@@ -102,7 +103,6 @@ __all__ = [
     "simulate_fleet",
     "simulate_fleet_autoscaled",
     "simulate_serving",
-    "simulate_serving_resilient",
     "slo_from_report",
     "trace_preset",
     "uniform_fleet",

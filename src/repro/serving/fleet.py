@@ -3,8 +3,8 @@
 The paper's Section 5 scales one MTIA card to multi-card partitions;
 a datacenter tier scales *that* to many replicas behind a router.  This
 module composes the per-replica engines
-(:func:`~repro.serving.resilience.simulate_serving_resilient`, fed an
-explicit routed arrival vector) into one fleet simulation:
+(:func:`~repro.serving.simulator.simulate_serving`, fed an explicit
+routed arrival vector) into one fleet simulation:
 
 * **routing policies** — seeded and pluggable: ``round_robin``,
   ``least_loaded`` (router-visible backlog), ``power_of_two``
@@ -55,10 +55,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.serving.resilience import (ResilienceConfig,
-                                      simulate_serving_resilient)
-from repro.serving.simulator import (STATUS_NAMES, STATUS_SERVED,
-                                     BatchingConfig, ServingReport)
+from repro.serving.resilience import ResilienceConfig
+from repro.serving.simulator import (STATUS_SERVED, BatchingConfig,
+                                     OutcomeQueries, ServingReport,
+                                     simulate_serving)
 from repro.serving.traffic import TrafficTrace
 
 __all__ = [
@@ -679,12 +679,13 @@ class ObservedLatencyFeed:
 
 
 @dataclass
-class FleetReport:
+class FleetReport(OutcomeQueries):
     """What one fleet simulation measured, per routed request.
 
-    Quacks like a :class:`~repro.serving.simulator.ServingReport` where
-    it matters (``arrivals_us`` / ``latencies_us`` / ``served_mask`` /
-    ``abort_us``), so :func:`repro.serving.slo.slo_from_report` and the
+    Shares :class:`~repro.serving.simulator.OutcomeQueries` with
+    :class:`~repro.serving.simulator.ServingReport` and carries the same
+    per-request arrays (``arrivals_us`` / ``latencies_us`` / ``status``
+    / ``abort_us``), so :func:`repro.serving.slo.slo_from_report` and the
     telemetry layer consume it unchanged.
     """
 
@@ -711,59 +712,13 @@ class FleetReport:
     hedged_requests: int = 0
     hedge_wins: int = 0
 
-    # -- ServingReport-compatible queries --------------------------------
-    @property
-    def served_mask(self) -> Optional[np.ndarray]:
-        if self.status.size == 0:
-            return None
-        return self.status == STATUS_SERVED
-
-    @property
-    def availability(self) -> float:
-        n = self.arrivals_us.size
-        if n == 0:
-            return 1.0
-        mask = self.served_mask
-        if mask is None:
-            return 1.0
-        return float(np.count_nonzero(mask)) / n
-
-    def counts_by_status(self) -> Dict[str, int]:
-        if self.status.size == 0:
-            return {name: 0 for name in STATUS_NAMES}
-        return {name: int(np.count_nonzero(self.status == code))
-                for code, name in enumerate(STATUS_NAMES)}
-
-    def percentile(self, q: float) -> float:
-        mask = self.served_mask
-        lat = self.latencies_us if mask is None else self.latencies_us[mask]
-        if lat.size == 0:
-            return float("nan")
-        return float(np.percentile(lat, q))
-
-    @property
-    def p50_us(self) -> float:
-        return self.percentile(50)
-
-    @property
-    def p99_us(self) -> float:
-        return self.percentile(99)
-
-    def meets_sla(self, sla_us: float, q: float = 99.0) -> bool:
-        p = self.percentile(q)
-        return bool(p <= sla_us)
-
     def breakdown_means(self) -> Dict[str, float]:
         """Mean microseconds per phase across served requests."""
         mask = self.served_mask
         out: Dict[str, float] = {}
         for name in ("queue_wait", "batch_wait", "retry_overhead",
                      "route_overhead", "hedge_wait", "execute"):
-            values = getattr(self, f"{name}_us")
-            if values.size == 0:
-                out[name] = 0.0
-                continue
-            served = values if mask is None else values[mask]
+            served = getattr(self, f"{name}_us")[mask]
             out[name] = float(served.mean()) if served.size else 0.0
         return out
 
@@ -842,7 +797,7 @@ class FleetReport:
                 name=f"replica{spec.replica}.observed_latency_us")
 
         mask = self.served_mask
-        if mask is not None and self.arrivals_us.size:
+        if self.arrivals_us.size:
             completion = self.arrivals_us + self.latencies_us
             order = np.argsort(completion, kind="stable")
             for i in order.tolist():
@@ -856,10 +811,7 @@ class FleetReport:
         service: Dict[int, float] = {}
         for spec, report in zip(self.config.replicas, self.per_replica):
             local = report.served_mask
-            if (local is None or report.batch_index.size == 0
-                    or not report.batches):
-                continue
-            indices = report.batch_index[local].astype(np.int64)
+            indices = report.batch_index[local]
             if indices.size == 0:
                 continue
             sizes = np.array([report.batches[j].size
@@ -951,7 +903,7 @@ def _replica_job(task) -> ServingReport:
     if plan_events:
         from repro.faults import FaultInjector, FaultPlan
         faults = FaultInjector(FaultPlan(events=plan_events))
-    return simulate_serving_resilient(
+    return simulate_serving(
         model, qps=0.0, batching=batching, resilience=resilience,
         num_requests=0, seed=0, faults=faults, registry=None,
         collect_telemetry=collect_telemetry, replica=replica,
@@ -1039,10 +991,7 @@ def simulate_fleet(latency_model, traffic, config: FleetConfig,
         flags = local_is_hedge[r]
         which = flags.astype(np.int64)
         copy_latency[owners, which] = report.latencies_us
-        copy_status[owners, which] = (report.status
-                                      if report.status.size
-                                      else np.zeros(owners.size,
-                                                    dtype=np.int64))
+        copy_status[owners, which] = report.status
         copy_pos[owners, which] = np.arange(owners.size)
 
     has_hedge = decision.hedged >= 0
@@ -1080,10 +1029,8 @@ def simulate_fleet(latency_model, traffic, config: FleetConfig,
         queue_wait[mine] = report.queue_wait_us[pos]
         batch_wait[mine] = report.batch_wait_us[pos]
         execute[mine] = report.execute_us[pos]
-        if report.retry_overhead_us.size:
-            retry_overhead[mine] = report.retry_overhead_us[pos]
-        if report.status.size:
-            status[mine] = report.status[pos]
+        retry_overhead[mine] = report.retry_overhead_us[pos]
+        status[mine] = report.status[pos]
 
     abort_us = np.where(status == STATUS_SERVED, np.nan,
                         arrivals + latencies)

@@ -1,6 +1,7 @@
 """Request-level serving simulation.
 
-A single accelerator card serves a Poisson stream of single-sample
+A serving tier of one or more identical accelerator cards serves a
+Poisson stream (or an injected arrival vector) of single-sample
 inference requests through a batching front end: requests accumulate
 until either ``max_batch`` are waiting or the oldest has waited
 ``max_wait_us``; the batch then executes for the model's batch-dependent
@@ -12,18 +13,27 @@ larger batches raise hardware utilisation ("the kernels are able to
 better amortize the setup costs", Section 6.1) but serving "under
 stringent latency requirements" caps how large a batch the SLA allows.
 
-Beyond aggregate percentiles, the simulation attributes *every* request
-microsecond to one of three phases (so tail requests can be explained,
-not just counted — see :mod:`repro.serving.tail`):
+On top of batching, a
+:class:`~repro.serving.resilience.ResilienceConfig` switches on the
+failure handling of a production serving tier (deadlines, retries,
+hedging, load shedding and card failover), all off by default.
 
-* ``batch_wait`` — arrival until the batch is complete-and-eligible
-  (the window expired or ``max_batch`` arrivals are in);
+The simulation attributes *every* request microsecond to one phase (so
+tail requests can be explained, not just counted — see
+:mod:`repro.serving.tail`):
+
+* ``retry_overhead`` — time burned before the final attempt was
+  enqueued (failed attempts plus backoff; 0 for a first-try request);
+* ``batch_wait`` — enqueue until the batch is complete-and-eligible
+  (the window expired or ``max_batch`` attempts are in);
 * ``queue_wait`` — batch ready but the device still busy with its
   predecessor (head-of-line blocking);
 * ``execute`` — dispatch to finish.
 
-``queue_wait + batch_wait + execute == latency`` exactly, per request.
-With a :class:`~repro.obs.spans.SpanTracer` attached, selected batches
+``queue_wait + batch_wait + retry_overhead + execute == latency``
+exactly, per request; for aborted requests the phases are truncated at
+the abort instant, so the identity holds for them too.  With a
+:class:`~repro.obs.spans.SpanTracer` attached, selected batches
 additionally emit a request-waterfall span tree (request → phase spans,
 flow-linked to the batch's device span) onto one Chrome/Perfetto
 timeline.
@@ -32,10 +42,14 @@ timeline.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set
+import heapq
+import math
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
+
+from repro.serving.resilience import ResilienceConfig
 
 
 def resolve_arrivals(qps: float, num_requests: int, seed: int,
@@ -72,6 +86,14 @@ def resolve_arrivals(qps: float, num_requests: int, seed: int,
 class BatchingConfig:
     max_batch: int = 256
     max_wait_us: float = 200.0
+
+    def __post_init__(self) -> None:
+        if not self.max_batch >= 1:
+            raise ValueError(
+                f"max_batch must be >= 1, got {self.max_batch!r}")
+        if not (math.isfinite(self.max_wait_us) and self.max_wait_us >= 0):
+            raise ValueError("max_wait_us must be finite and >= 0, got "
+                             f"{self.max_wait_us!r}")
 
 
 #: Request outcome codes (``ServingReport.status``).  Anything but
@@ -110,82 +132,36 @@ class BatchRecord:
                 "queue_depth": self.queue_depth}
 
 
-def _empty() -> np.ndarray:
-    return np.zeros(0)
+class OutcomeQueries:
+    """Outcome queries of a report that carries per-request ``status``.
 
-
-@dataclass
-class ServingReport:
-    """What one serving simulation measured."""
-
-    qps_offered: float
-    qps_served: float
-    latencies_us: np.ndarray
-    batch_sizes: List[int]
-    busy_fraction: float
-    #: per-request phase attribution; each sums with the others to the
-    #: request's latency (arrays align with ``latencies_us``)
-    queue_wait_us: np.ndarray = field(default_factory=_empty)
-    batch_wait_us: np.ndarray = field(default_factory=_empty)
-    execute_us: np.ndarray = field(default_factory=_empty)
-    arrivals_us: np.ndarray = field(default_factory=_empty)
-    #: index into ``batches`` for each request
-    batch_index: np.ndarray = field(default_factory=_empty)
-    batches: List[BatchRecord] = field(default_factory=list)
-    #: per-request outcome (``STATUS_*``); empty means "all served"
-    #: (the plain simulator never aborts, so it skips the allocation)
-    status: np.ndarray = field(default_factory=_empty)
-    #: microseconds a request spent on attempts that did *not* serve it
-    #: (timeout/failure + backoff before the successful attempt)
-    retry_overhead_us: np.ndarray = field(default_factory=_empty)
-    #: dispatch attempts per request (1 = first try succeeded)
-    attempts: np.ndarray = field(default_factory=_empty)
-    #: abort instant for non-served requests (NaN for served ones);
-    #: aligns with ``arrivals_us``
-    abort_us: np.ndarray = field(default_factory=_empty)
-    #: batches dispatched twice (hedged) and how often the hedge won
-    hedged_batches: int = 0
-    hedge_wins: int = 0
-    #: bounded mergeable telemetry (:class:`ServingTelemetry`), attached
-    #: when the simulation ran with ``collect_telemetry=True``
-    telemetry: Optional[object] = None
+    Aborted requests (shed/timeout/failed) count against availability
+    but are *excluded* from latency quantiles — a shed request has no
+    meaningful latency, and folding abort times into percentiles would
+    let load shedding "improve" the p99.
+    """
 
     @property
-    def served_mask(self) -> Optional[np.ndarray]:
-        """Boolean mask of served requests, or ``None`` if all served."""
-        if self.status.size == 0:
-            return None
+    def served_mask(self) -> np.ndarray:
+        """Boolean mask of served requests."""
         return self.status == STATUS_SERVED
 
     @property
     def availability(self) -> float:
-        """Fraction of offered requests actually served (1.0 = no aborts).
-
-        Aborted requests (shed/timeout/failed) count against availability
-        but are *excluded* from latency quantiles — a shed request has no
-        meaningful latency, and folding abort times into percentiles
-        would let load shedding "improve" the p99.
-        """
-        n = self.arrivals_us.size or self.latencies_us.size
+        """Fraction of offered requests actually served (1.0 = no aborts)."""
+        n = self.arrivals_us.size
         if n == 0:
             return 1.0
-        mask = self.served_mask
-        if mask is None:
-            return 1.0
-        return float(np.count_nonzero(mask)) / n
+        return float(np.count_nonzero(self.served_mask)) / n
 
     def counts_by_status(self) -> Dict[str, int]:
         """Request counts keyed by outcome name."""
-        n = self.arrivals_us.size or self.latencies_us.size
-        if self.status.size == 0:
-            return {"served": int(n), "shed": 0, "timeout": 0, "failed": 0}
         return {name: int(np.count_nonzero(self.status == code))
                 for code, name in enumerate(STATUS_NAMES)}
 
     def percentile(self, q: float) -> float:
         """Latency percentile over *served* requests only."""
-        mask = self.served_mask
-        lat = self.latencies_us if mask is None else self.latencies_us[mask]
+        lat = self.latencies_us[self.served_mask]
         if lat.size == 0:
             return float("nan")
         return float(np.percentile(lat, q))
@@ -198,27 +174,59 @@ class ServingReport:
     def p99_us(self) -> float:
         return self.percentile(99)
 
-    @property
-    def mean_batch(self) -> float:
-        return float(np.mean(self.batch_sizes)) if self.batch_sizes else 0.0
-
     def meets_sla(self, sla_us: float, q: float = 99.0) -> bool:
         p = self.percentile(q)
         return bool(p <= sla_us)   # NaN (empty run) never meets an SLA
+
+
+@dataclass
+class ServingReport(OutcomeQueries):
+    """What one serving simulation measured.
+
+    The per-request arrays all align with ``arrivals_us``; the phase
+    arrays sum to ``latencies_us`` request by request.
+    """
+
+    qps_offered: float
+    qps_served: float
+    latencies_us: np.ndarray
+    batch_sizes: List[int]
+    busy_fraction: float
+    queue_wait_us: np.ndarray
+    batch_wait_us: np.ndarray
+    execute_us: np.ndarray
+    arrivals_us: np.ndarray
+    #: index into ``batches`` of the batch that served each request
+    #: (-1 for aborted requests)
+    batch_index: np.ndarray
+    batches: List[BatchRecord]
+    #: per-request outcome (``STATUS_*``)
+    status: np.ndarray
+    #: microseconds a request spent on attempts that did *not* serve it
+    #: (timeout/failure + backoff before the successful attempt)
+    retry_overhead_us: np.ndarray
+    #: dispatch attempts per request (1 = first try succeeded)
+    attempts: np.ndarray
+    #: abort instant for non-served requests (NaN for served ones)
+    abort_us: np.ndarray
+    #: batches dispatched twice (hedged) and how often the hedge won
+    hedged_batches: int = 0
+    hedge_wins: int = 0
+    #: bounded mergeable telemetry (:class:`ServingTelemetry`), attached
+    #: when the simulation ran with ``collect_telemetry=True``
+    telemetry: Optional[object] = None
+
+    @property
+    def mean_batch(self) -> float:
+        return float(np.mean(self.batch_sizes)) if self.batch_sizes else 0.0
 
     # -- request-phase queries -------------------------------------------
     def breakdown_means(self) -> Dict[str, float]:
         """Mean microseconds per phase across *served* requests."""
         mask = self.served_mask
-        zero = {"queue_wait": 0.0, "batch_wait": 0.0, "execute": 0.0,
-                "retry_overhead": 0.0}
-        if self.latencies_us.size == 0:
-            return zero
 
         def mean_of(values: np.ndarray) -> float:
-            if values.size == 0:
-                return 0.0
-            served = values if mask is None else values[mask]
+            served = values[mask]
             return float(served.mean()) if served.size else 0.0
 
         return {"queue_wait": mean_of(self.queue_wait_us),
@@ -243,8 +251,8 @@ class ServingReport:
             n = min(n, limit)
         rows = []
         for r in range(n):
-            b = int(self.batch_index[r]) if self.batch_index.size else -1
-            row = {
+            b = int(self.batch_index[r])
+            rows.append({
                 "request": r,
                 "arrival_us": float(self.arrivals_us[r]),
                 "queue_wait_us": float(self.queue_wait_us[r]),
@@ -254,15 +262,10 @@ class ServingReport:
                 "batch": b,
                 "batch_size": self.batches[b].size if 0 <= b < len(
                     self.batches) else 0,
-                "status": (STATUS_NAMES[int(self.status[r])]
-                           if self.status.size else "served"),
-                "attempts": (int(self.attempts[r])
-                             if self.attempts.size else 1),
-                "retry_overhead_us": (float(self.retry_overhead_us[r])
-                                      if self.retry_overhead_us.size
-                                      else 0.0),
-            }
-            rows.append(row)
+                "status": STATUS_NAMES[int(self.status[r])],
+                "attempts": int(self.attempts[r]),
+                "retry_overhead_us": float(self.retry_overhead_us[r]),
+            })
         return rows
 
 
@@ -312,6 +315,10 @@ class BatchLatencyModel:
         return self.estimate_for(batch).category_fractions()
 
 
+#: one queued attempt: (enqueue time, tie-break seq, request, attempt#)
+_Attempt = Tuple[float, int, int, int]
+
+
 def simulate_serving(latency_model: Callable[[int], float],
                      qps: float,
                      batching: BatchingConfig = BatchingConfig(),
@@ -323,25 +330,37 @@ def simulate_serving(latency_model: Callable[[int], float],
                      trace_requests_per_batch: int = 8,
                      collect_telemetry: bool = False,
                      replica: int = 0,
-                     arrivals: Optional[np.ndarray] = None) -> ServingReport:
+                     arrivals: Optional[np.ndarray] = None,
+                     resilience: ResilienceConfig = ResilienceConfig(),
+                     faults=None) -> ServingReport:
     """Simulate serving ``num_requests`` Poisson arrivals at ``qps``.
 
     ``latency_model(batch_size)`` returns the execution latency in
-    microseconds.  Single server, single in-flight batch (the runtime's
-    default stream), FIFO within the queue.
+    microseconds.  Each card runs one batch at a time; attempts queue
+    FIFO in (enqueue time, arrival order).  ``resilience`` sets the
+    failure handling (the default turns all of it off: one card, no
+    deadlines, no retries, no hedging, no shedding).
+
+    ``faults`` is an optional :class:`~repro.faults.FaultInjector`
+    whose ``card.failure`` / ``card.slowdown`` events (microsecond
+    domain) drive card outages and slow cards.  All randomness lives in
+    the arrival stream (``seed``) and the injector's *pre-drawn* plan,
+    so a (seed, plan) pair replays exactly; an injector armed with an
+    empty plan is bit-identical to ``faults=None``.
 
     ``registry`` (or the opt-in :func:`repro.obs.default_registry`)
     receives the request-latency histogram (p50/p95/p99 via the
     ``serving_latency_us`` instrument), per-phase wait histograms,
-    batch-size/occupancy histograms, queue-depth samples, and a
-    device-busy-fraction gauge.
+    batch-size/occupancy histograms, queue-depth samples, outcome
+    counts, and a device-busy-fraction gauge.
 
     ``spans`` is an optional :class:`~repro.obs.spans.SpanTracer`; when
     enabled, batches in ``trace_batches`` (default: all) emit a device
-    span plus per-request waterfalls (first ``trace_requests_per_batch``
-    members), flow-linked request → batch.  Tracing never alters the
-    simulation: results are bit-identical with spans on or off (the
-    conformance determinism pillar checks this).
+    span plus per-request waterfalls (the first
+    ``trace_requests_per_batch`` members the batch served),
+    flow-linked request → batch.  Tracing never alters the simulation:
+    results are bit-identical with spans on or off (the conformance
+    determinism pillar checks this).
 
     ``collect_telemetry=True`` attaches a
     :class:`~repro.serving.telemetry.ServingTelemetry` (quantile
@@ -353,78 +372,296 @@ def simulate_serving(latency_model: Callable[[int], float],
     vector instead of drawing a Poisson stream — the fleet layer routes
     a traffic trace and hands each replica its assigned subsequence.
     """
+    cfg = resilience
     arrivals, qps = resolve_arrivals(qps, num_requests, seed, arrivals)
-    num_requests = int(arrivals.size)
-
+    n = int(arrivals.size)
     tracing = spans is not None and spans.enabled
+    deadline = cfg.deadline_us
+    max_batch = batching.max_batch
 
-    latencies = np.zeros(num_requests)
-    queue_wait = np.zeros(num_requests)
-    batch_wait = np.zeros(num_requests)
-    execute = np.zeros(num_requests)
-    batch_index = np.zeros(num_requests, dtype=np.int64)
+    latencies = np.zeros(n)
+    queue_wait = np.zeros(n)
+    batch_wait = np.zeros(n)
+    execute = np.zeros(n)
+    retry_overhead = np.zeros(n)
+    attempts_out = np.ones(n, dtype=np.int64)
+    status = np.zeros(n, dtype=np.int8)
+    abort_us = np.full(n, np.nan)
+    batch_index = np.full(n, -1, dtype=np.int64)
+
     batch_sizes: List[int] = []
     batches: List[BatchRecord] = []
+    free = [0.0] * cfg.num_cards
     busy_us = 0.0
-    device_free = 0.0
+    span_end = float(arrivals[0]) if n else 0.0
+    served = 0
+    hedged_batches = 0
+    hedge_wins = 0
+    retry_seq = n
+
+    # First attempts are consumed in arrival order by the cursor ``i``;
+    # their tie-break seq is the request index.  ``pending`` is a heap
+    # of the other queued attempts: retries (seq >= n, so an original
+    # wins a same-instant tie) and originals a shed pass left waiting.
     i = 0
-    while i < num_requests:
-        # The batch closes when either the window expires or max_batch
-        # arrivals are in; while the device is busy the window keeps
-        # filling.
-        deadline = arrivals[i] + batching.max_wait_us
-        dispatch_at = max(deadline, device_free)
-        j = i
-        while (j < num_requests and j - i < batching.max_batch
-               and arrivals[j] <= dispatch_at):
-            j += 1
-        batch = j - i
-        # If the batch filled early, dispatch as soon as the last member
-        # arrived (no pointless waiting) — but never before the device
-        # frees up.
-        if batch == batching.max_batch:
-            dispatch_at = max(arrivals[j - 1], device_free)
-        # The instant the batch became complete-and-eligible: the last
-        # member's arrival when it filled, the window deadline otherwise
-        # (never after dispatch).  Before it: forming.  After it: queued
-        # behind the busy device.
-        ready = min(dispatch_at,
-                    arrivals[j - 1] if batch == batching.max_batch
-                    else deadline)
-        execute_us = latency_model(batch)
-        finish = dispatch_at + execute_us
+    pending: List[_Attempt] = []
+
+    def originals(lo: int, hi: int) -> List[_Attempt]:
+        return [(t, r, r, 0)
+                for r, t in enumerate(arrivals[lo:hi].tolist(), lo)]
+
+    def cursor_waiting(at: float) -> int:
+        """End of the first attempts enqueued by ``at`` (never < ``i``)."""
+        return max(i, int(arrivals.searchsorted(at, "right")))
+
+    def start_on(card: int, at: float) -> float:
+        """Earliest instant ``card`` can start work requested at ``at``."""
+        t = max(at, free[card])
+        if faults is not None:
+            t = faults.card_available_at(card, t)
+        return t
+
+    def finish_attempt(r: int, attempt: int, attempt_t: float,
+                       fail_t: float, failed_status: int,
+                       ready: float, dispatch: float) -> None:
+        """Retry the attempt or record its final abort."""
+        nonlocal retry_seq, span_end
+        if attempt < cfg.max_retries:
+            next_t = fail_t + cfg.backoff_us(attempt)
+            heapq.heappush(pending, (next_t, retry_seq, r, attempt + 1))
+            retry_seq += 1
+            return
+        status[r] = failed_status
+        attempts_out[r] = attempt + 1
+        retry_overhead[r] = attempt_t - arrivals[r]
+        abort_us[r] = fail_t
+        # phases truncated at the abort instant, so the attribution
+        # invariant holds for aborted requests too
+        batch_wait[r] = max(0.0, min(ready, fail_t) - attempt_t)
+        queue_wait[r] = max(0.0, min(dispatch, fail_t)
+                            - max(ready, attempt_t))
+        execute[r] = max(0.0, fail_t - max(dispatch, attempt_t))
+        latencies[r] = fail_t - arrivals[r]
+        span_end = max(span_end, fail_t)
+
+    def run_copy(card: int, at: float, size: int
+                 ) -> Tuple[float, float, float, Optional[float]]:
+        """Dispatch one batch copy: (start, exec_us, finish, death)."""
+        nonlocal busy_us, span_end
+        start = start_on(card, at)
+        if not math.isfinite(start):
+            # the card died for good between batch formation and
+            # dispatch; the serving tier discovers it at dispatch time
+            return math.inf, 0.0, math.inf, at
+        exec_us = latency_model(size)
+        if faults is not None:
+            exec_us *= faults.card_slowdown(card, start)
+        finish = start + exec_us
+        death = (faults.card_failure_in(card, start, finish)
+                 if faults is not None else None)
+        if death is not None:
+            # the in-flight batch dies with the card; the card comes
+            # back (or not) on the fault plan's schedule
+            free[card] = faults.card_available_at(card, death)
+            busy_us += death - start
+            span_end = max(span_end, death)
+            return start, exec_us, finish, death
+        free[card] = finish
+        busy_us += exec_us
+        span_end = max(span_end, finish)
+        return start, exec_us, finish, None
+
+    while i < n or pending:
+        head_t = min(float(arrivals[i]) if i < n else math.inf,
+                     pending[0][0] if pending else math.inf)
+        # fault-aware earliest-free card (deterministic tie: lowest index)
+        eff = [start_on(c, head_t) for c in range(cfg.num_cards)]
+        device_free = min(eff)
+        card = eff.index(device_free)
+
+        window_end = head_t + batching.max_wait_us
+        dispatch_at = max(window_end, device_free)
+
+        # -- batch members: queued attempts ``held`` (in queue order)
+        #    plus the first attempts ``lo:hi`` under the cursor
+        held: List[_Attempt] = []
+        lo = i
+        if pending and pending[0][0] <= dispatch_at:
+            hi = i
+            while len(held) + hi - lo < max_batch:
+                if pending and pending[0][0] <= dispatch_at and (
+                        hi >= n or pending[0][:2] < (arrivals[hi], hi)):
+                    held.append(heapq.heappop(pending))
+                elif hi < n and arrivals[hi] <= dispatch_at:
+                    hi += 1
+                else:
+                    break
+        else:
+            hi = min(lo + max_batch,
+                     int(arrivals.searchsorted(dispatch_at, "right")))
+        i = hi
+        last_t = max(held[-1][0] if held else -math.inf,
+                     float(arrivals[hi - 1]) if hi > lo else -math.inf)
+        full = len(held) + hi - lo == max_batch
+        if full:
+            dispatch_at = max(last_t, device_free)
+        ready = min(dispatch_at, last_t if full else window_end)
+
+        # -- load shedding: attempts still waiting beyond the depth cap
+        if cfg.shed_queue_depth:
+            end = cursor_waiting(dispatch_at)
+            waiting = sorted(e for e in pending if e[0] <= dispatch_at)
+            if end - i + len(waiting) > cfg.shed_queue_depth:
+                # keep the first shed_queue_depth in queue order
+                a, h = i, 0
+                for _ in range(cfg.shed_queue_depth):
+                    if h < len(waiting) and (
+                            a >= end or waiting[h][:2] < (arrivals[a], a)):
+                        h += 1
+                    else:
+                        a += 1
+                for t, _seq, r, attempt in waiting[h:]:
+                    status[r] = STATUS_SHED
+                    attempts_out[r] = attempt + 1
+                    retry_overhead[r] = t - arrivals[r]
+                    abort_us[r] = dispatch_at
+                    batch_wait[r] = max(0.0, min(ready, dispatch_at) - t)
+                    queue_wait[r] = dispatch_at - max(ready, t)
+                    latencies[r] = dispatch_at - arrivals[r]
+                arr = arrivals[a:end]
+                status[a:end] = STATUS_SHED
+                abort_us[a:end] = dispatch_at
+                batch_wait[a:end] = np.maximum(
+                    min(ready, dispatch_at) - arr, 0.0)
+                queue_wait[a:end] = dispatch_at - np.maximum(arr, ready)
+                latencies[a:end] = dispatch_at - arr
+                span_end = max(span_end, dispatch_at)
+                pending = ([e for e in pending if e[0] > dispatch_at]
+                           + waiting[:h] + originals(i, a))
+                heapq.heapify(pending)
+                i = end
+
+        # -- dispatch-time deadline check: don't waste device time on
+        #    members that have already missed (a queue-order prefix)
+        if deadline:
+            late = [m for m in held if dispatch_at > m[0] + deadline]
+            held = held[len(late):]
+            cut = lo + int(np.count_nonzero(
+                arrivals[lo:hi] + deadline < dispatch_at))
+            for t, _seq, r, attempt in sorted(late + originals(lo, cut)):
+                finish_attempt(r, attempt, t, t + deadline,
+                               STATUS_TIMEOUT, ready, math.inf)
+            lo = cut
+            if not held and lo == hi:
+                continue
+
+        size = len(held) + hi - lo
+
+        if not math.isfinite(device_free):
+            # every card is gone for good: the batch can never dispatch
+            for t, _seq, r, attempt in sorted(held + originals(lo, hi)):
+                finish_attempt(r, attempt, t, max(ready, t),
+                               STATUS_FAILED, ready, math.inf)
+            continue
+
+        # -- dispatch (possibly hedged on the two earliest-free cards)
+        copies = [run_copy(card, dispatch_at, size)]
+        if (cfg.hedge_after_us and cfg.num_cards > 1
+                and dispatch_at - ready > cfg.hedge_after_us):
+            others = [c for c in range(cfg.num_cards)
+                      if c != card and math.isfinite(start_on(c, dispatch_at))]
+            if others:
+                hedge = min(others,
+                            key=lambda c: (start_on(c, dispatch_at), c))
+                copies.append(run_copy(hedge, dispatch_at, size))
+                hedged_batches += 1
+
+        alive = [(fin, idx) for idx, (_s, _e, fin, death)
+                 in enumerate(copies) if death is None]
+        if not alive:
+            # every copy died with its card mid-execute
+            lost_at = max(death for _s, _e, _f, death in copies)
+            for t, _seq, r, attempt in sorted(held + originals(lo, hi)):
+                finish_attempt(r, attempt, t, lost_at, STATUS_FAILED,
+                               ready, copies[0][0])
+            continue
+        finish, winner = min(alive)
+        start, exec_us = copies[winner][0], copies[winner][1]
+        if winner != 0:
+            hedge_wins += 1
+        first_t = min(held[0][0] if held else math.inf,
+                      float(arrivals[lo]) if hi > lo else math.inf)
+
+        # -- completion-time deadline check (again a queue-order prefix)
+        if deadline:
+            late = [m for m in held if finish > m[0] + deadline]
+            held = held[len(late):]
+            cut = lo + int(np.count_nonzero(
+                arrivals[lo:hi] + deadline < finish))
+            for t, _seq, r, attempt in sorted(late + originals(lo, cut)):
+                finish_attempt(r, attempt, t, t + deadline,
+                               STATUS_TIMEOUT, ready, start)
+            lo = cut
+
+        # -- served members: queued attempts one by one, first attempts
+        #    as one slice (a short run is cheaper one by one too)
         k = len(batches)
-        latencies[i:j] = finish - arrivals[i:j]
-        batch_wait[i:j] = np.clip(ready - arrivals[i:j], 0.0, None)
-        queue_wait[i:j] = dispatch_at - np.maximum(arrivals[i:j], ready)
-        execute[i:j] = execute_us
-        batch_index[i:j] = k
-        batch_sizes.append(batch)
-        depth = int(np.searchsorted(arrivals, dispatch_at, side="right")) - j
+        done = held
+        if hi - lo < 8:
+            done = held + originals(lo, hi)
+            lo = hi
+        for t, _seq, r, attempt in done:
+            attempts_out[r] = attempt + 1
+            retry_overhead[r] = t - arrivals[r]
+            latencies[r] = finish - arrivals[r]
+            batch_wait[r] = max(0.0, ready - t)
+            queue_wait[r] = start - max(t, ready)
+            execute[r] = exec_us
+            batch_index[r] = k
+        if lo < hi:
+            arr = arrivals[lo:hi]
+            latencies[lo:hi] = finish - arr
+            batch_wait[lo:hi] = np.maximum(ready - arr, 0.0)
+            queue_wait[lo:hi] = start - np.maximum(arr, ready)
+            execute[lo:hi] = exec_us
+            batch_index[lo:hi] = k
+        served += len(done) + hi - lo
+
+        depth = cursor_waiting(dispatch_at) - i
+        if pending:
+            depth += sum(1 for e in pending if e[0] <= dispatch_at)
+        batch_sizes.append(size)
         batches.append(BatchRecord(
-            index=k, size=batch, first_arrival_us=float(arrivals[i]),
-            ready_us=float(ready), dispatch_us=float(dispatch_at),
+            index=k, size=size, first_arrival_us=first_t,
+            ready_us=float(ready), dispatch_us=float(start),
             finish_us=float(finish), queue_depth=depth))
         if tracing and (trace_batches is None or k in trace_batches):
-            _trace_batch(spans, k, batch, arrivals[i:j], ready, dispatch_at,
-                         finish, trace_requests_per_batch, i)
-        busy_us += execute_us
-        device_free = finish
-        i = j
+            traced = sorted(done + originals(
+                lo, min(hi, lo + trace_requests_per_batch)))
+            _trace_batch(spans, k, size, arrivals,
+                         traced[:trace_requests_per_batch],
+                         ready, start, finish)
 
-    span_us = device_free - arrivals[0] if num_requests else 0.0
+    span_us = span_end - arrivals[0] if n else 0.0
     report = ServingReport(
         qps_offered=qps,
-        qps_served=num_requests / (span_us / 1e6) if span_us > 0 else 0.0,
+        qps_served=served / (span_us / 1e6) if span_us > 0 else 0.0,
         latencies_us=latencies,
         batch_sizes=batch_sizes,
-        busy_fraction=min(1.0, busy_us / span_us) if span_us > 0 else 0.0,
+        busy_fraction=(min(1.0, busy_us / (span_us * cfg.num_cards))
+                       if span_us > 0 else 0.0),
         queue_wait_us=queue_wait,
         batch_wait_us=batch_wait,
         execute_us=execute,
         arrivals_us=arrivals,
         batch_index=batch_index,
         batches=batches,
+        status=status,
+        retry_overhead_us=retry_overhead,
+        attempts=attempts_out,
+        abort_us=abort_us,
+        hedged_batches=hedged_batches,
+        hedge_wins=hedge_wins,
     )
     if collect_telemetry:
         from repro.serving.telemetry import ServingTelemetry
@@ -439,20 +676,22 @@ def simulate_serving(latency_model: Callable[[int], float],
 
 
 def _trace_batch(spans, k: int, batch: int, arrivals: np.ndarray,
-                 ready: float, dispatch_at: float, finish: float,
-                 requests_per_batch: int, first_request: int) -> None:
+                 members: List[_Attempt], ready: float, dispatch_at: float,
+                 finish: float) -> None:
     """Emit the request-waterfall span tree for one traced batch."""
     flow_ids = []
-    for offset in range(min(batch, requests_per_batch)):
-        r = first_request + offset
-        arrival = float(arrivals[offset])
+    for t, _seq, r, _attempt in members:
+        arrival = float(arrivals[r])
         track = f"request.{r}"
         with spans.span(track, f"req{r}", arrival, finish,
                         pid="serving.requests", batch=k,
                         batch_size=batch) as req:
-            boundary = max(arrival, min(ready, dispatch_at))
-            if boundary > arrival:
-                spans.add(track, "batch_wait", arrival, boundary,
+            if t > arrival:
+                spans.add(track, "retry_overhead", arrival, t,
+                          pid="serving.requests")
+            boundary = max(t, min(ready, dispatch_at))
+            if boundary > t:
+                spans.add(track, "batch_wait", t, boundary,
                           pid="serving.requests")
             if dispatch_at > boundary:
                 spans.add(track, "queue_wait", boundary, dispatch_at,
@@ -491,18 +730,16 @@ def _record_metrics(registry, report: ServingReport,
     registry.gauge("serving_availability",
                    "fraction of offered requests served").labels().set(
                        report.availability)
-    if report.status.size:
-        for name, count in report.counts_by_status().items():
-            if count:
-                registry.counter(
-                    "serving_outcomes", "requests by outcome"
-                ).labels(status=name).inc(count)
+    for name, count in report.counts_by_status().items():
+        if count:
+            registry.counter(
+                "serving_outcomes", "requests by outcome"
+            ).labels(status=name).inc(count)
     registry.gauge("serving_busy_fraction",
                    "device busy fraction").labels().set(
                        report.busy_fraction)
     registry.gauge("serving_batch_occupancy",
                    "mean batch size / max_batch").labels().set(
-                       report.mean_batch / batching.max_batch
-                       if batching.max_batch else 0.0)
+                       report.mean_batch / batching.max_batch)
     if report.telemetry is not None:
         report.telemetry.record_into(registry)

@@ -126,11 +126,7 @@ class SLOMonitor:
         arrivals = np.asarray(report.arrivals_us)
         latencies = np.asarray(report.latencies_us)
         finish = arrivals + latencies
-        mask = getattr(report, "served_mask", None)
-        if mask is None:
-            self._finish.extend(finish.tolist())
-            self._latency.extend(latencies.tolist())
-            return
+        mask = report.served_mask
         self._finish.extend(finish[mask].tolist())
         self._latency.extend(latencies[mask].tolist())
         aborts = np.asarray(report.abort_us)[~mask]

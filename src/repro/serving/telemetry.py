@@ -104,19 +104,10 @@ class ServingTelemetry:
                   seed=seed)
         out.replicas = [int(replica)]
         mask = report.served_mask
-        n = report.latencies_us.size
-
-        def served(values: np.ndarray) -> np.ndarray:
-            if values.size == 0:
-                return values
-            return values if mask is None else values[mask]
-
-        lat = served(report.latencies_us)
+        lat = report.latencies_us[mask]
         out.latency.add_many(lat)
         for name in PHASES:
-            values = served(getattr(report, f"{name}_us"))
-            if values.size:
-                out.phases[name].add_many(values)
+            out.phases[name].add_many(getattr(report, f"{name}_us")[mask])
         out.batch_size.add_many(np.asarray(report.batch_sizes, dtype=float))
 
         for name, count in report.counts_by_status().items():
@@ -125,35 +116,26 @@ class ServingTelemetry:
         arrivals = report.arrivals_us
         if arrivals.size:
             out.series["requests"].record_many(arrivals)
-            finish = served(arrivals) + lat
+            finish = arrivals[mask] + lat
             out.series["latency_us"].record_many(finish, lat)
         if report.batches:
             out.series["queue_depth"].record_many(
                 [b.dispatch_us for b in report.batches],
                 [float(b.queue_depth) for b in report.batches])
 
-        if n and report.batch_index.size:
-            indices = range(n) if mask is None else np.flatnonzero(mask)
-            retry = report.retry_overhead_us
-            status = report.status
-            for r in indices:
-                r = int(r)
-                b = int(report.batch_index[r])
-                record = ExemplarRecord(
-                    replica=int(replica), request_id=r,
-                    arrival_us=float(arrivals[r]),
-                    latency_us=float(report.latencies_us[r]),
-                    queue_wait_us=float(report.queue_wait_us[r]),
-                    batch_wait_us=float(report.batch_wait_us[r]),
-                    execute_us=float(report.execute_us[r]),
-                    batch_index=b,
-                    batch_size=(report.batches[b].size
-                                if 0 <= b < len(report.batches) else 0),
-                    status=(STATUS_NAMES[int(status[r])]
-                            if status.size else "served"),
-                    retry_overhead_us=(float(retry[r])
-                                       if retry.size else 0.0))
-                out.exemplars.offer(record)
+        for r in np.flatnonzero(mask).tolist():
+            b = int(report.batch_index[r])
+            out.exemplars.offer(ExemplarRecord(
+                replica=int(replica), request_id=r,
+                arrival_us=float(arrivals[r]),
+                latency_us=float(report.latencies_us[r]),
+                queue_wait_us=float(report.queue_wait_us[r]),
+                batch_wait_us=float(report.batch_wait_us[r]),
+                execute_us=float(report.execute_us[r]),
+                batch_index=b,
+                batch_size=report.batches[b].size,
+                status=STATUS_NAMES[int(report.status[r])],
+                retry_overhead_us=float(report.retry_overhead_us[r])))
         return out
 
     # -- merging ---------------------------------------------------------
@@ -223,9 +205,7 @@ class ServingTelemetry:
         quantile, the sketch estimate, the exact value, and the
         relative delta (which must stay within ``relative_accuracy``).
         """
-        mask = report.served_mask
-        lat = (report.latencies_us if mask is None
-               else report.latencies_us[mask])
+        lat = report.latencies_us[report.served_mask]
         out: Dict[str, Dict] = {}
         for q in (50.0, 95.0, 99.0):
             exact = float(np.percentile(lat, q)) if lat.size else 0.0
@@ -368,7 +348,7 @@ def emit_exemplar_spans(report: ServingReport,
     for r in sorted(set(int(r) for r in request_ids)):
         if r < 0 or r >= report.latencies_us.size:
             continue
-        b = int(report.batch_index[r]) if report.batch_index.size else -1
+        b = int(report.batch_index[r])
         if not 0 <= b < len(report.batches):
             continue
         by_batch.setdefault(b, []).append(r)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from repro.faults import FaultInjector, FaultPlan
 from repro.obs import MetricRegistry
 from repro.serving import (BatchingConfig, ResilienceConfig,
-                           simulate_serving_resilient)
+                           simulate_serving)
 from tests import strategies as shared
 
 #: ~300 requests at 20k qps spans ~15ms — inside FAULT_HORIZON_US, so
@@ -21,8 +21,8 @@ _RES = ResilienceConfig(num_cards=4, max_retries=2,
 
 
 def _run(plan, seed):
-    return simulate_serving_resilient(
-        lambda b: 150.0 + 2.0 * b, _QPS, _BATCHING, _RES,
+    return simulate_serving(
+        lambda b: 150.0 + 2.0 * b, _QPS, _BATCHING, resilience=_RES,
         num_requests=_N, seed=seed, faults=FaultInjector(plan),
         registry=MetricRegistry())
 

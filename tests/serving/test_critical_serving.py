@@ -19,8 +19,7 @@ from repro.obs.critical import (fleet_critical_path,
 from repro.serving.fleet import (ROUTING_POLICIES, FleetConfig,
                                  RouterConfig, TabularLatencyModel,
                                  simulate_fleet, uniform_fleet)
-from repro.serving.resilience import (ResilienceConfig,
-                                      simulate_serving_resilient)
+from repro.serving.resilience import ResilienceConfig
 from repro.serving.simulator import BatchingConfig, simulate_serving
 from repro.serving.traffic import trace_preset
 
@@ -72,7 +71,7 @@ class TestServingPaths:
         plan = FaultPlan.generate(
             3, FaultProfile(horizon_us=30_000.0),
             kinds=("card.failure", "card.slowdown"))
-        report = simulate_serving_resilient(
+        report = simulate_serving(
             model, qps=60_000, batching=BatchingConfig(max_batch=4),
             resilience=ResilienceConfig(shed_queue_depth=8,
                                         deadline_us=4_000.0,

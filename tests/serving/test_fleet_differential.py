@@ -2,7 +2,7 @@
 
 The fleet layer must add *nothing* at N=1 with free routing: the same
 arrival vector through ``simulate_fleet`` and through bare
-``simulate_serving_resilient`` must agree bit-for-bit on every report
+``simulate_serving`` must agree bit-for-bit on every report
 field, the telemetry serialization, and the stall attributions — that
 is what licenses every fleet result to be read as "the per-replica
 engine, composed".
@@ -18,8 +18,7 @@ from repro.faults import FaultEvent, FaultInjector, FaultPlan
 from repro.serving.fleet import (FleetConfig, RouterConfig,
                                  TabularLatencyModel, simulate_fleet,
                                  uniform_fleet)
-from repro.serving.resilience import (ResilienceConfig,
-                                      simulate_serving_resilient)
+from repro.serving.resilience import ResilienceConfig
 from repro.serving.simulator import simulate_serving
 from repro.serving.traffic import trace_preset
 
@@ -51,10 +50,10 @@ def arrivals_for(seed):
 def test_single_replica_fleet_is_bit_identical(seed):
     arrivals = arrivals_for(seed)
     fleet = simulate_fleet(MODEL, arrivals, trivial_fleet(), jobs=1)
-    bare = simulate_serving_resilient(MODEL, qps=0.0,
-                                      resilience=RESILIENCE, seed=0,
-                                      collect_telemetry=True,
-                                      arrivals=arrivals)
+    bare = simulate_serving(MODEL, qps=0.0,
+                            resilience=RESILIENCE, seed=0,
+                            collect_telemetry=True,
+                            arrivals=arrivals)
     for name in ARRAY_FIELDS:
         fleet_values = getattr(fleet.per_replica[0], name)
         assert np.array_equal(fleet_values, getattr(bare, name)), name
@@ -70,10 +69,10 @@ def test_single_replica_fleet_is_bit_identical(seed):
 def test_telemetry_serialization_is_bit_identical():
     arrivals = arrivals_for(5)
     fleet = simulate_fleet(MODEL, arrivals, trivial_fleet(), jobs=1)
-    bare = simulate_serving_resilient(MODEL, qps=0.0,
-                                      resilience=RESILIENCE, seed=0,
-                                      collect_telemetry=True,
-                                      arrivals=arrivals)
+    bare = simulate_serving(MODEL, qps=0.0,
+                            resilience=RESILIENCE, seed=0,
+                            collect_telemetry=True,
+                            arrivals=arrivals)
     assert (json.dumps(fleet.telemetry.to_dict(include_state=True),
                        sort_keys=True)
             == json.dumps(bare.telemetry.to_dict(include_state=True),
@@ -84,32 +83,15 @@ def test_batch_boundaries_and_stall_attribution_survive():
     """Batch records (the stall attribution substrate) are identical."""
     arrivals = arrivals_for(7)
     fleet = simulate_fleet(MODEL, arrivals, trivial_fleet(), jobs=1)
-    bare = simulate_serving_resilient(MODEL, qps=0.0,
-                                      resilience=RESILIENCE, seed=0,
-                                      arrivals=arrivals)
+    bare = simulate_serving(MODEL, qps=0.0,
+                            resilience=RESILIENCE, seed=0,
+                            arrivals=arrivals)
     local = fleet.per_replica[0]
     assert len(local.batches) == len(bare.batches)
     for ours, theirs in zip(local.batches, bare.batches):
         assert ours.dispatch_us == theirs.dispatch_us
         assert ours.finish_us == theirs.finish_us
         assert ours.size == theirs.size
-
-
-def test_default_resilience_chains_down_to_plain_simulator():
-    """N=1 fleet + default resilience == simulate_serving, bit for bit.
-
-    Two no-op layers compose: the fleet wraps the resilient engine,
-    which with the default config wraps the plain batching simulator.
-    """
-    arrivals = arrivals_for(2)
-    fleet = simulate_fleet(MODEL, arrivals,
-                           trivial_fleet(resilience=ResilienceConfig()),
-                           jobs=1)
-    plain = simulate_serving(MODEL, qps=0.0, arrivals=arrivals)
-    assert np.array_equal(fleet.latencies_us, plain.latencies_us)
-    assert np.array_equal(fleet.queue_wait_us, plain.queue_wait_us)
-    assert np.array_equal(fleet.batch_wait_us, plain.batch_wait_us)
-    assert np.array_equal(fleet.execute_us, plain.execute_us)
 
 
 def test_faulted_single_replica_matches_bare_engine():
@@ -124,10 +106,10 @@ def test_faulted_single_replica_matches_bare_engine():
     local_plan = FaultPlan(events=(
         FaultEvent(start=2_000.0, kind="card.failure", target=-1,
                    duration=3_000.0),))
-    bare = simulate_serving_resilient(MODEL, qps=0.0,
-                                      resilience=RESILIENCE, seed=0,
-                                      faults=FaultInjector(local_plan),
-                                      arrivals=arrivals)
+    bare = simulate_serving(MODEL, qps=0.0,
+                            resilience=RESILIENCE, seed=0,
+                            faults=FaultInjector(local_plan),
+                            arrivals=arrivals)
     assert np.array_equal(fleet.latencies_us, bare.latencies_us)
     assert np.array_equal(fleet.status, bare.status)
     assert (fleet.counts_by_status() == bare.counts_by_status())

@@ -5,10 +5,10 @@ import pytest
 
 from repro.faults import PERMANENT, FaultEvent, FaultPlan, FaultInjector
 from repro.obs import MetricRegistry
-from repro.serving import (BatchingConfig, ResilienceConfig,
+from repro.serving import (BatchingConfig, BatchRecord, ResilienceConfig,
                            STATUS_FAILED, STATUS_SERVED, STATUS_SHED,
-                           STATUS_TIMEOUT, simulate_serving,
-                           simulate_serving_resilient)
+                           STATUS_TIMEOUT, simulate_serving)
+from repro.serving.simulator import resolve_arrivals
 from repro.serving.slo import slo_from_report
 
 
@@ -25,10 +25,56 @@ TIGHT_BATCHING = BatchingConfig(max_batch=4, max_wait_us=200.0)
 def resilient(qps=10_000, batching=BatchingConfig(), res=None, n=600,
               seed=0, plan=None):
     faults = FaultInjector(plan) if plan is not None else None
-    return simulate_serving_resilient(
-        linear_latency, qps, batching, res or ResilienceConfig(),
+    return simulate_serving(
+        linear_latency, qps, batching, resilience=res or ResilienceConfig(),
         num_requests=n, seed=seed, faults=faults,
         registry=MetricRegistry())
+
+
+def plain_batching(latency_model, qps, batching=BatchingConfig(),
+                   num_requests=5000, seed=0):
+    """Reference single-card batching window: no retries, no faults.
+
+    The textbook loop the engine's default configuration must reproduce
+    bit for bit: a batch closes when ``max_batch`` arrivals are in or
+    the oldest has waited ``max_wait_us``, and dispatches when the card
+    is free.  Returns the per-request arrays and the batch records.
+    """
+    arrivals, _ = resolve_arrivals(qps, num_requests, seed)
+    n = arrivals.size
+    out = {name: np.zeros(n) for name in ("latencies_us", "queue_wait_us",
+                                          "batch_wait_us", "execute_us")}
+    out["batch_index"] = np.zeros(n, dtype=np.int64)
+    records, device_free, i = [], 0.0, 0
+    while i < n:
+        window_end = arrivals[i] + batching.max_wait_us
+        dispatch = max(window_end, device_free)
+        j = i
+        while (j < n and j - i < batching.max_batch
+               and arrivals[j] <= dispatch):
+            j += 1
+        full = j - i == batching.max_batch
+        if full:
+            dispatch = max(arrivals[j - 1], device_free)
+        ready = min(dispatch, arrivals[j - 1] if full else window_end)
+        execute = latency_model(j - i)
+        finish = dispatch + execute
+        span = arrivals[i:j]
+        out["latencies_us"][i:j] = finish - span
+        out["batch_wait_us"][i:j] = np.clip(ready - span, 0.0, None)
+        out["queue_wait_us"][i:j] = dispatch - np.maximum(span, ready)
+        out["execute_us"][i:j] = execute
+        out["batch_index"][i:j] = len(records)
+        records.append(BatchRecord(
+            index=len(records), size=j - i,
+            first_arrival_us=float(arrivals[i]), ready_us=float(ready),
+            dispatch_us=float(dispatch), finish_us=float(finish),
+            queue_depth=int(np.searchsorted(arrivals, dispatch,
+                                            side="right")) - j))
+        device_free = finish
+        i = j
+    out["arrivals_us"] = arrivals
+    return out, records
 
 
 def assert_attribution_invariant(report):
@@ -39,31 +85,34 @@ def assert_attribution_invariant(report):
 
 
 class TestBitIdentityWithPlainSimulator:
-    """Default config + no faults must be simulate_serving, bit for bit."""
+    """Default config + no faults is the plain batching window, bit for bit.
 
-    def equivalent_reports(self, **kwargs):
-        plain = simulate_serving(linear_latency, registry=MetricRegistry(),
-                                 **kwargs)
-        resil = simulate_serving_resilient(
-            linear_latency, registry=MetricRegistry(), **kwargs)
-        return plain, resil
+    ``plain_batching`` above is the reference: one card, FIFO, no
+    failure handling.
+    """
 
     @pytest.mark.parametrize("qps", [500, 10_000, 300_000])
     def test_arrays_bit_identical(self, qps):
-        plain, resil = self.equivalent_reports(qps=qps, num_requests=800,
-                                               seed=qps)
-        for name in ("latencies_us", "queue_wait_us", "batch_wait_us",
-                     "execute_us", "arrivals_us", "batch_index"):
-            np.testing.assert_array_equal(getattr(plain, name),
-                                          getattr(resil, name), err_msg=name)
-        assert plain.batch_sizes == resil.batch_sizes
-        assert plain.qps_served == resil.qps_served
-        assert plain.busy_fraction == resil.busy_fraction
+        reference, records = plain_batching(linear_latency, qps,
+                                            num_requests=800, seed=qps)
+        report = simulate_serving(linear_latency, qps, num_requests=800,
+                                  seed=qps, registry=MetricRegistry())
+        for name, values in reference.items():
+            np.testing.assert_array_equal(getattr(report, name), values,
+                                          err_msg=name)
+        assert report.batch_sizes == [b.size for b in records]
+        span_us = records[-1].finish_us - report.arrivals_us[0]
+        assert report.qps_served == 800 / (span_us / 1e6)
 
     def test_batch_records_identical(self):
-        plain, resil = self.equivalent_reports(qps=50_000, num_requests=500)
-        assert [b.to_dict() for b in plain.batches] == \
-            [b.to_dict() for b in resil.batches]
+        batching = BatchingConfig(max_batch=16, max_wait_us=100.0)
+        _, records = plain_batching(linear_latency, 50_000, batching,
+                                    num_requests=500)
+        report = simulate_serving(linear_latency, 50_000, batching,
+                                  num_requests=500,
+                                  registry=MetricRegistry())
+        assert [b.to_dict() for b in report.batches] == \
+            [b.to_dict() for b in records]
 
     def test_empty_injector_is_bit_identical(self):
         bare = resilient(qps=40_000, n=600)
@@ -287,8 +336,8 @@ class TestConfigValidation:
 
     def test_invalid_qps_rejected(self):
         with pytest.raises(ValueError):
-            simulate_serving_resilient(linear_latency, qps=0.0,
-                                       registry=MetricRegistry())
+            simulate_serving(linear_latency, qps=0.0,
+                             registry=MetricRegistry())
 
 
 class TestDeterminism:
@@ -312,9 +361,8 @@ class TestDeterminism:
     def test_metrics_record_availability_and_outcomes(self):
         registry = MetricRegistry()
         res = ResilienceConfig(deadline_us=100.0, max_retries=0)
-        simulate_serving_resilient(linear_latency, qps=5_000,
-                                   resilience=res, num_requests=100,
-                                   registry=registry)
+        simulate_serving(linear_latency, qps=5_000, resilience=res,
+                         num_requests=100, registry=registry)
         text = registry.to_prometheus()
         assert "serving_availability" in text
         assert "serving_outcomes" in text

@@ -74,6 +74,30 @@ class TestServingSimulator:
         assert not report.meets_sla(1.0)
 
 
+class TestBatchingConfigValidation:
+    """Configs that used to hang or crash the batching loop are refused."""
+
+    @pytest.mark.parametrize("max_batch", [0, -4])
+    def test_max_batch_below_one_rejected(self, max_batch):
+        with pytest.raises(ValueError, match="max_batch"):
+            BatchingConfig(max_batch=max_batch)
+
+    def test_negative_max_wait_rejected(self):
+        with pytest.raises(ValueError, match="max_wait_us"):
+            BatchingConfig(max_wait_us=-1.0)
+
+    @pytest.mark.parametrize("max_wait_us", [float("nan"), float("inf")])
+    def test_non_finite_max_wait_rejected(self, max_wait_us):
+        with pytest.raises(ValueError, match="max_wait_us"):
+            BatchingConfig(max_wait_us=max_wait_us)
+
+    def test_edge_values_accepted_and_run(self):
+        batching = BatchingConfig(max_batch=1, max_wait_us=0.0)
+        report = simulate_serving(linear_latency, qps=10_000,
+                                  batching=batching, num_requests=50)
+        assert report.batch_sizes == [1] * 50
+
+
 class TestBatchLatencyModel:
     @pytest.fixture(scope="class")
     def model(self):
