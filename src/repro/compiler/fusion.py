@@ -100,11 +100,12 @@ def _merge_embedding_bags(graph: Graph, max_tables: int,
     the concat's operand order trivially by replacing the group's
     members with one TBE whose output is their concatenation.
     """
+    consumers = graph.consumers()
     groups: Dict[tuple, List[Node]] = {}
     for node in list(graph):
         if node.op != "embedding_bag":
             continue
-        users = graph.users(node.name)
+        users = consumers[node.name]
         if len(users) != 1 or users[0].op != "concat":
             continue
         key = (node.attrs["batch"], node.attrs["pooling"],
@@ -153,22 +154,28 @@ def _merge_embedding_bags(graph: Graph, max_tables: int,
             # their dims, in order).
             first = chunk[0].name
             graph.replace_uses(first, tbe.name)
-            for eb in chunk[1:]:
-                concat.inputs = [i for i in concat.inputs if i != eb.name]
+            dropped = {eb.name for eb in chunk[1:]}
+            concat.inputs = [i for i in concat.inputs if i not in dropped]
             concat.meta = infer_meta(graph, concat)
             report.eb_merged += len(chunk)
             report.tbe_created += 1
 
 
 def _fuse_epilogues(graph: Graph, report: FusionReport) -> None:
-    """Fold unary elementwise followers into FC/BMM producers."""
+    """Fold unary elementwise followers into FC/BMM producers.
+
+    One consumer snapshot serves the whole pass: a fusion only moves
+    the activation's users onto its producer, which then carries an
+    epilogue, so any later check on that producer is skipped either way.
+    """
+    consumers = graph.consumers()
     for node in list(graph):
         if node.op not in EPILOGUE_OPS:
             continue
         producer = graph.node(node.inputs[0])
         if producer.op not in ("fc", "batch_matmul"):
             continue
-        if len(graph.users(producer.name)) != 1:
+        if len(consumers[producer.name]) != 1:
             continue
         if "epilogue" in producer.attrs:
             continue

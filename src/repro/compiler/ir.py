@@ -55,8 +55,11 @@ class Graph:
 
     def insert_before(self, anchor: str, node: Node) -> Node:
         """Add ``node`` immediately before ``anchor`` in execution order."""
+        if anchor not in self._nodes:
+            raise ValueError(
+                f"cannot insert {node.name!r} before unknown node {anchor!r}")
         self.add_node(node)
-        self._order.remove(node.name)
+        self._order.pop()
         self._order.insert(self._order.index(anchor), node.name)
         return node
 
@@ -87,6 +90,19 @@ class Graph:
         """Nodes that consume ``name``."""
         return [n for n in self if name in n.inputs]
 
+    def consumers(self) -> Dict[str, List[Node]]:
+        """``users(name)`` of every node at once, built in one pass.
+
+        Each list is in execution order and names a user once, however
+        many of its operands read ``name``.  The map is a snapshot: a
+        pass that rewires edges must not read entries those edits touch.
+        """
+        result: Dict[str, List[Node]] = {name: [] for name in self._order}
+        for node in self:
+            for inp in dict.fromkeys(node.inputs):
+                result[inp].append(node)
+        return result
+
     # -- mutation (used by passes) ------------------------------------------
     def replace_uses(self, old: str, new: str) -> None:
         """Rewrite every use of ``old`` to ``new``."""
@@ -111,7 +127,7 @@ class Graph:
         dead = [n for n in self._order if n not in live]
         for name in dead:
             del self._nodes[name]
-            self._order.remove(name)
+        self._order = [n for n in self._order if n in live]
         return len(dead)
 
     def copy(self, name: Optional[str] = None) -> "Graph":

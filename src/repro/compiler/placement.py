@@ -65,14 +65,20 @@ def place_tensors(graph: Graph, sram_capacity: int,
             last_use[inp] = idx
     for out in graph.outputs:
         last_use[out] = len(order)
+    # Names bucketed by last-use index, so expiry at ``idx`` reads only
+    # the tensors that can die there.
+    expiring: Dict[int, List[str]] = {}
+    for name, last in last_use.items():
+        expiring.setdefault(last, []).append(name)
 
     live_sram: Dict[str, int] = {}
     used = 0
     for idx, node in enumerate(order):
-        # Expire dead SRAM tensors first.
-        for name in [n for n, last in list(last_use.items())
-                     if last <= idx and n in live_sram]:
-            used -= live_sram.pop(name)
+        # Expire dead SRAM tensors first.  A pinned weight's last use
+        # was moved past the end after bucketing, hence the re-check.
+        for name in expiring.pop(idx, ()):
+            if last_use[name] <= idx and name in live_sram:
+                used -= live_sram.pop(name)
         nbytes = node.meta.nbytes
         if node.op == "weight":
             if node.name in pin_weights and used + nbytes <= sram_capacity:
@@ -81,6 +87,7 @@ def place_tensors(graph: Graph, sram_capacity: int,
                 # Pinned weights stay resident for the whole graph.
                 last_use[node.name] = len(order)
                 used += nbytes
+                result.sram_peak_bytes = max(result.sram_peak_bytes, used)
             else:
                 result.regions[node.name] = "dram"
             continue

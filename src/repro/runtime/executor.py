@@ -89,9 +89,11 @@ class GraphExecutor:
         """Execute ``graph``; returns (outputs, ExecutionReport).
 
         ``feeds`` binds input nodes; ``weights`` binds weight nodes (a
-        weight node may also carry ``data`` in its attrs).  Zero-filled
-        weights are synthesised for anything unbound — convenient for
-        perf-only runs of multi-hundred-GB models.
+        weight node may also carry ``data`` in its attrs).  Anything
+        unbound reads as zeros: it is bound to a read-only zero-stride
+        view (``np.broadcast_to`` of one zero), so perf-only runs of
+        multi-hundred-GB models cost O(1) per weight and never touch
+        table-sized memory.  Operators must not write to their inputs.
         """
         from repro.compiler.ops import execute_node
         from repro.eval.opmodel import estimate_graph
@@ -105,16 +107,6 @@ class GraphExecutor:
 
         values: Dict[str, np.ndarray] = {}
         fps: Dict[str, str] = {}
-        synthesized: Dict[str, "object"] = {}
-
-        def materialize(name: str) -> np.ndarray:
-            value = values.get(name)
-            if value is None and name in synthesized:
-                meta = synthesized[name]
-                value = np.zeros(meta.shape, meta.dtype.numpy_dtype)
-                values[name] = value
-            return value
-
         for node in graph:
             if node.op == "input":
                 if node.name not in feeds:
@@ -128,18 +120,15 @@ class GraphExecutor:
                 elif node.attrs.get("data") is not None:
                     values[node.name] = np.asarray(node.attrs["data"])
                 else:
-                    # Deferred: only built if a consumer actually misses
-                    # the cache, so warm runs never allocate (or hash)
-                    # the multi-GB zero tables of perf-only models.
-                    synthesized[node.name] = node.meta
-                    if cache is None:
-                        materialize(node.name)
+                    meta = node.meta
+                    values[node.name] = np.broadcast_to(
+                        np.zeros((), meta.dtype.numpy_dtype), meta.shape)
+                    if cache is not None:
+                        fps[node.name] = zero_leaf_fingerprint(
+                            tuple(meta.shape), str(meta.dtype))
+                    continue
                 if cache is not None:
-                    fps[node.name] = (
-                        zero_leaf_fingerprint(tuple(node.meta.shape),
-                                              str(node.meta.dtype))
-                        if node.name in synthesized
-                        else leaf_fingerprint(values[node.name]))
+                    fps[node.name] = leaf_fingerprint(values[node.name])
             else:
                 if cache is not None:
                     fp = node_fingerprint(node, [fps[i]
@@ -149,8 +138,7 @@ class GraphExecutor:
                     if hit is not None:
                         values[node.name] = hit
                         continue
-                inputs = [materialize(i) for i in node.inputs]
-                out = execute_node(node, inputs)
+                out = execute_node(node, [values[i] for i in node.inputs])
                 epilogue = node.attrs.get("epilogue")
                 if epilogue:
                     out = _EPILOGUES[epilogue](
@@ -168,7 +156,7 @@ class GraphExecutor:
             placement=placement)
         self._record_metrics(estimate)
         self._record_spans(estimate)
-        outputs = {name: materialize(name) for name in graph.outputs}
+        outputs = {name: values[name] for name in graph.outputs}
         return outputs, report
 
     def _record_metrics(self, estimate) -> None:

@@ -173,8 +173,8 @@ def leaf_fingerprint(value: np.ndarray) -> str:
 def zero_leaf_fingerprint(shape: tuple, dtype: str) -> str:
     """Content key for a *synthesised* all-zero weight, from metadata.
 
-    Unbound weights are materialised as ``np.zeros(shape, dtype)`` —
-    for perf-only runs of multi-hundred-GB DLRM models these are the
+    Unbound weights read as zero-stride ``np.zeros`` views — for
+    perf-only runs of multi-hundred-GB DLRM models these are the
     embedding tables, and content-hashing gigabytes of zeros would cost
     more than the computation being cached.  Shape + dtype determine
     the content exactly, so this key is just as content-addressed.

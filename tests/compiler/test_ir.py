@@ -100,6 +100,31 @@ class TestMutation:
         assert order.index("pre") < order.index("act")
         assert order.index("pre") > order.index("fc")
 
+    def test_insert_before_unknown_anchor_leaves_graph_unchanged(
+            self, mlp_graph):
+        before = repr(mlp_graph)
+        node = Node(name="z", op="tanh", inputs=["fc"])
+        with pytest.raises(ValueError, match="'nope'"):
+            mlp_graph.insert_before("nope", node)
+        assert "z" not in mlp_graph
+        assert repr(mlp_graph) == before
+        # The failed insert left nothing behind, so a retry succeeds.
+        from repro.compiler.ops import infer_meta
+        node.meta = infer_meta(mlp_graph, node)
+        mlp_graph.insert_before("act", node)
+        assert [n.name for n in mlp_graph] == ["x", "w", "fc", "z", "act"]
+
+    def test_consumers_match_users(self, mlp_graph):
+        node = Node(name="twice", op="add", inputs=["fc", "fc"])
+        from repro.compiler.ops import infer_meta
+        node.meta = infer_meta(mlp_graph, node)
+        mlp_graph.add_node(node)
+        consumers = mlp_graph.consumers()
+        assert list(consumers) == [n.name for n in mlp_graph]
+        for n in mlp_graph:
+            assert consumers[n.name] == mlp_graph.users(n.name)
+        assert [u.name for u in consumers["fc"]] == ["act", "twice"]
+
     def test_repr_lists_nodes(self, mlp_graph):
         text = repr(mlp_graph)
         assert "%fc = fc(x, w)" in text

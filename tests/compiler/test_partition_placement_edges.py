@@ -161,6 +161,17 @@ class TestPlacementEdges:
         # intermediates that fit around it.
         assert placement.sram_peak_bytes >= g.node("hot_w").meta.nbytes
 
+    def test_pinned_weight_counts_towards_the_sram_peak(self):
+        b = GraphBuilder()
+        x = b.input((4, 128), name="x")
+        w = b.weight((1, 128), name="w")               # 512 B fp32
+        fc = b.add("fc", (x.name, w.name), name="fc")
+        g = b.output(fc.name)
+        placement = place_tensors(g, sram_capacity=1 << 20,
+                                  pin_weights={"w"})
+        assert placement.region("w") == "sram"
+        assert placement.sram_peak_bytes == 512
+
     def test_zero_capacity_spills_every_intermediate(self):
         b = GraphBuilder()
         x = b.input((64, 64), name="x")
