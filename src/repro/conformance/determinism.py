@@ -638,95 +638,6 @@ def check_fleet_determinism(seed: int) -> DeterminismResult:
     return res
 
 
-def check_fast_forward(seed: int) -> DeterminismResult:
-    """Steady-state fast-forward must be invisible, engaged or refused.
-
-    Two halves of the PR-9 contract:
-
-    * a seeded *stationary* pipeline (constant-delay process ensemble
-      with stall attribution) run with a
-      :class:`~repro.sim.fastforward.FastForward` detector attached
-      must finish with identical final time, event count, and per-cause
-      stall cycles to the undetected run — *and* the detector must
-      actually have skipped periods (a silently-inert detector would
-      pass the identity check while delivering nothing);
-    * a real FC kernel (generator locals carry loop indices, so the
-      signature honestly never repeats) must refuse to engage and stay
-      bit-identical in cycles, outputs, and stall attributions.
-    """
-    from repro import Accelerator
-    from repro.kernels.fc import run_fc
-    from repro.sim.engine import Engine
-    from repro.sim.fastforward import FastForward
-
-    res = DeterminismResult(seed=seed, kind="fastforward")
-    rng = np.random.default_rng(seed)
-    periods = [int(p) for p in rng.integers(2, 12, size=3)]
-    horizon = 100_000
-
-    def pipeline(fast: bool):
-        engine = Engine()
-        engine.obs.enabled = True
-        if fast:
-            engine.fast_forward = FastForward()
-
-        def beat(track: str, period: int):
-            while True:
-                yield period
-                engine.obs.stall(track, "cb_element_wait",
-                                 engine.now - 1, engine.now)
-        for i, p in enumerate(periods):
-            engine.process(beat(f"pe{i}.dpe", p), name=f"b{i}")
-        engine.run(until=horizon)
-        stalls = sorted((key, c.value) for key, c in
-                        engine.obs.registry.counter("stall_cycles")
-                        .samples())
-        return (engine.now, engine.events_processed, stalls), \
-            engine.fast_forward
-
-    plain, _ = pipeline(fast=False)
-    fast, detector = pipeline(fast=True)
-    res.cycles = plain[0]
-    if fast != plain:
-        res.violations.append(
-            f"fast-forward changed the stationary pipeline outcome: "
-            f"{plain} plain vs {fast} fast-forwarded")
-    if detector.periods_skipped == 0:
-        res.violations.append(
-            "fast-forward never engaged on a stationary pipeline "
-            f"(periods={periods}, stats={detector.stats()})")
-
-    # -- honest refusal on a real kernel ---------------------------------
-    shape = _fc_shape_for(seed)
-
-    def fc_once(fast: bool):
-        acc = Accelerator(observe=True)
-        if fast:
-            acc.engine.fast_forward = FastForward()
-        result = run_fc(acc, m=shape["m"], k=shape["k"], n=shape["n"],
-                        dtype="int8",
-                        subgrid=acc.subgrid((0, 0), shape["rows"],
-                                            shape["cols"]),
-                        k_split=shape["k_split"], seed=seed)
-        return result, acc
-
-    fc_plain, acc_plain = fc_once(fast=False)
-    fc_fast, acc_fast = fc_once(fast=True)
-    if fc_fast.cycles != fc_plain.cycles:
-        res.violations.append(
-            "fast-forward changed FC cycles: "
-            f"{fc_plain.cycles} plain vs {fc_fast.cycles}")
-    if not np.array_equal(fc_fast.c_t, fc_plain.c_t):
-        res.violations.append("fast-forward changed FC output bits")
-    if acc_fast.obs.stalls_by_track() != acc_plain.obs.stalls_by_track():
-        res.violations.append("fast-forward changed FC stall attributions")
-    if acc_fast.engine.fast_forward.periods_skipped != 0:
-        res.violations.append(
-            "fast-forward claims to have skipped periods inside an FC "
-            "kernel — the signature should never repeat there")
-    return res
-
-
 def check_autotune_determinism(seed: int) -> DeterminismResult:
     """Seeded search replay identity + tuned-mapping re-simulation.
 

@@ -21,7 +21,6 @@ from repro.conformance.crossval import (CrossvalBand, crossval_fc,
 from repro.conformance.determinism import (check_autotune_determinism,
                                            check_cache_determinism,
                                            check_critical_noop,
-                                           check_fast_forward,
                                            check_fault_injection_noop,
                                            check_fleet_determinism,
                                            check_graph_cache_determinism,
@@ -198,10 +197,9 @@ def run_determinism_case(seed: int,
     telemetry = check_telemetry_determinism(seed)
     fleet = check_fleet_determinism(seed)
     critical = check_critical_noop(seed)
-    fastforward = check_fast_forward(seed)
     violations = (sim.violations + graph.violations + serving.violations
                   + telemetry.violations + fleet.violations
-                  + critical.violations + fastforward.violations)
+                  + critical.violations)
     status = "ok" if not violations else "violation"
     return CaseResult(seed=seed, pillar="determinism", status=status,
                       details={"sim": sim.to_dict(),
@@ -209,8 +207,7 @@ def run_determinism_case(seed: int,
                                "serving": serving.to_dict(),
                                "telemetry": telemetry.to_dict(),
                                "fleet": fleet.to_dict(),
-                               "critical": critical.to_dict(),
-                               "fastforward": fastforward.to_dict()})
+                               "critical": critical.to_dict()})
 
 
 def run_crossval_case(seed: int, index: int,

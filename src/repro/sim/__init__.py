@@ -6,11 +6,15 @@ Python generators that yield either a delay (number of cycles) or an
 (cores issuing commands, the Command Processor stalling an MML on a
 circular-buffer element check, DMA engines streaming data over the NoC)
 are expressed as processes over this kernel.
+
+Scheduling has one path: callbacks run in ``(time, ticket)`` order from
+a same-timestamp FIFO deque and a :class:`CalendarQueue` of timed
+entries (see :mod:`repro.sim.engine`).  Times must be finite and never
+run backwards; violations raise :class:`SimulationError`.
 """
 
-from repro.sim.calendar import CalendarQueue, HeapTimeQueue
+from repro.sim.calendar import CalendarQueue
 from repro.sim.engine import Engine, Event, Process, SimulationError
-from repro.sim.fastforward import FastForward
 from repro.sim.resources import Queue, Resource, Semaphore
 from repro.sim.stats import StatGroup
 from repro.sim.trace import Span, Tracer
@@ -19,8 +23,6 @@ __all__ = [
     "CalendarQueue",
     "Engine",
     "Event",
-    "FastForward",
-    "HeapTimeQueue",
     "Process",
     "Queue",
     "Resource",

@@ -1,35 +1,27 @@
-"""Time-ordered pending-event queues for the DES engine.
+"""Time-ordered pending-event queue for the DES engine.
 
-Two interchangeable implementations of the same tiny interface:
+:class:`CalendarQueue` is a bucketed calendar queue (Brown 1988): the
+near-future time axis is partitioned into fixed-width buckets, each a
+small heap, with an unsorted *overflow ladder* holding far-future
+entries.  Inserts land in their bucket in O(1) amortised; pops drain
+the cursor bucket.  When every bucket is empty the overflow ladder is
+promoted in one numpy-vectorised batch and the calendar re-based.
 
-* :class:`HeapTimeQueue` — a single binary heap, the pre-PR-9 structure.
-  Kept as the straight-line reference for the equivalence property suite.
-* :class:`CalendarQueue` — a bucketed calendar queue (Brown 1988): the
-  near-future time axis is partitioned into fixed-width buckets, each a
-  small heap, with an unsorted *overflow ladder* holding far-future
-  entries.  Inserts land in their bucket in O(1) amortised; pops drain
-  the cursor bucket.  When every bucket is empty the overflow ladder is
-  promoted in one numpy-vectorised batch and the calendar re-based.
-
-Both queues order entries by ``(at, ticket)`` — exactly the tuple order
-the old global heap used — so the engine's interleaving is preserved
-bit-for-bit regardless of which queue backs it.  The engine's
-same-timestamp FIFO fast path lives outside the queue and is untouched.
+Entries are ordered by ``(at, ticket)`` — the order a single binary
+heap of those tuples gives (``tests/sim/heap_queue.py`` keeps that heap
+as the oracle the calendar is tested against).  The engine's
+same-timestamp FIFO deque lives outside the queue.
 
 Interface contract (what :class:`repro.sim.engine.Engine` relies on):
 
-* ``push(at, ticket, callback)`` — insert; ``at`` may be any float not
-  less than the earliest un-popped time (backdated pushes below the
-  calendar base trigger a rare O(n) rebuild and stay correct).
+* ``push(at, ticket, callback)`` — insert a finite ``at``; a push below
+  the calendar base triggers a rare O(n) rebuild and stays correct.
 * ``pop()`` — remove and return the ``(at, ticket, callback)`` with the
   smallest ``(at, ticket)``.
 * ``head`` — ``(at, ticket)`` of the next entry, or ``None`` when empty;
   maintained incrementally so the engine's hot loop can tie-check the
-  FIFO fast path without a method call.
+  FIFO deque without a method call.
 * ``size`` — number of pending entries (drives ``peak_heap_size``).
-* ``shift_all(delta)`` — add ``delta`` to every pending time; a monotone
-  shift preserves ``(at, ticket)`` order, so fast-forward skips can
-  teleport the calendar without re-sorting.
 """
 
 from __future__ import annotations
@@ -40,46 +32,9 @@ from typing import Any, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["CalendarQueue", "HeapTimeQueue"]
+__all__ = ["CalendarQueue"]
 
 Entry = Tuple[float, int, Any]
-
-
-class HeapTimeQueue:
-    """Single binary heap of ``(at, ticket, callback)`` — the reference."""
-
-    __slots__ = ("_heap", "head", "size")
-
-    def __init__(self) -> None:
-        self._heap: List[Entry] = []
-        self.head: Optional[Tuple[float, int]] = None
-        self.size = 0
-
-    def push(self, at: float, ticket: int, callback: Any) -> None:
-        heappush(self._heap, (at, ticket, callback))
-        self.size += 1
-        top = self._heap[0]
-        self.head = (top[0], top[1])
-
-    def pop(self) -> Entry:
-        entry = heappop(self._heap)
-        self.size -= 1
-        if self._heap:
-            top = self._heap[0]
-            self.head = (top[0], top[1])
-        else:
-            self.head = None
-        return entry
-
-    def shift_all(self, delta: float) -> None:
-        # A uniform shift is monotone in time and leaves tickets alone,
-        # so the heap invariant survives an in-place rewrite.
-        self._heap = [(at + delta, ticket, cb) for at, ticket, cb in self._heap]
-        if self.head is not None:
-            self.head = (self.head[0] + delta, self.head[1])
-
-    def entries(self) -> List[Entry]:
-        return list(self._heap)
 
 
 class CalendarQueue:
@@ -144,8 +99,8 @@ class CalendarQueue:
             if self._ov_min is None or key < self._ov_min:
                 self._ov_min = key
         elif at < self.base:
-            # Backdated push (e.g. after an until-break rewound `now`):
-            # re-base the whole calendar around the new earliest time.
+            # Backdated push: re-base the whole calendar around the new
+            # earliest time.
             self._rebase(at)
             self._place(at, ticket, callback)
         else:
@@ -253,26 +208,3 @@ class CalendarQueue:
                 if best is None or key < best:
                     best = key
             self._ov_min = best
-
-    def shift_all(self, delta: float) -> None:
-        """Uniform time shift — order-preserving, used by fast-forward."""
-        self.base += delta
-        self.limit += delta
-        for i, bucket in enumerate(self._buckets):
-            if bucket:
-                self._buckets[i] = [
-                    (at + delta, ticket, cb) for at, ticket, cb in bucket
-                ]
-        if self._ov_at:
-            self._ov_at = [at + delta for at in self._ov_at]
-        if self._ov_min is not None:
-            self._ov_min = (self._ov_min[0] + delta, self._ov_min[1])
-        if self.head is not None:
-            self.head = (self.head[0] + delta, self.head[1])
-
-    def entries(self) -> List[Entry]:
-        out: List[Entry] = []
-        for bucket in self._buckets:
-            out.extend(bucket)
-        out.extend(zip(self._ov_at, self._ov_ticket, self._ov_cb))
-        return out

@@ -5,38 +5,35 @@ simulator uses integers except for analytically-derived latencies).
 
 Processes are generators.  A process may yield:
 
-* a non-negative number — advance that many cycles;
+* a finite non-negative number — advance that many cycles;
 * an :class:`Event` — suspend until the event is triggered; the value
   passed to :meth:`Event.succeed` becomes the result of the ``yield``;
 * another :class:`Process` — suspend until that process finishes; its
   return value becomes the result of the ``yield``.
 
 A process finishes when its generator returns; ``return value`` inside
-the generator becomes :attr:`Process.value`.
+the generator becomes :attr:`Process.value`.  Yielding anything else
+(a negative, ``nan`` or infinite delay, an unsupported object) fails the
+process with a :class:`SimulationError` that names it.
 
-Scheduling fast-path
---------------------
+Scheduling
+----------
 
-Most scheduling traffic in a busy simulation is *immediate*: event
-triggers, process resumptions, and zero-delay timeouts all land at the
-current timestamp.  Routing those through the time heap costs two
-``O(log n)`` heap operations each, so the engine keeps a separate FIFO
-deque for same-timestamp callbacks and only uses the heap for genuine
-time advances.
+Every callback draws a ticket from one global counter, and callbacks
+run in ``(time, ticket)`` order.  Two structures hold them:
 
-Ordering semantics are unchanged: every callback — timed or deque —
-still draws a ticket from the one global counter, and the run loop
-compares the deque head's ticket against the time-queue head whenever
-that head is at the current time, so callbacks at equal timestamps
-execute in exactly the order a pure-heap kernel would run them
-(``tests/property/test_engine_equivalence.py`` proves this against a
-straight-heap reference implementation).
+* a FIFO deque for *immediate* callbacks — event triggers, process
+  resumptions (including a wait on an event that has already fired)
+  and zero-delay timeouts, all at the current timestamp;
+* a :class:`~repro.sim.calendar.CalendarQueue` for genuine time
+  advances — a bucketed calendar queue with O(1) amortised insert/pop
+  and a numpy-promoted overflow ladder for far-future events.
 
-Timed entries live in a :class:`~repro.sim.calendar.CalendarQueue` — a
-bucketed calendar queue with O(1) amortised insert/pop and a
-numpy-promoted overflow ladder for far-future events — which orders by
-the identical ``(at, ticket)`` key the old global heap used, so the
-structure swap is invisible to the event stream.
+Whenever the time-queue head is at the current time, the run loop
+compares its ticket against the deque head's, so callbacks at equal
+timestamps execute in exactly the order a single ``(time, ticket)``
+heap would run them (``tests/property/test_engine_equivalence.py``
+proves this against a straight-heap reference kept under ``tests/``).
 """
 
 from __future__ import annotations
@@ -51,11 +48,7 @@ from repro.sim.calendar import CalendarQueue
 #: Sentinel argument for deque entries whose callback takes no argument.
 _NO_ARG = object()
 
-#: Consecutive already-triggered yields a process may consume inline
-#: before deferring back through the engine (see Process._resume).  The
-#: cap keeps a pathological poll-forever loop reachable by the engine's
-#: ``max_events`` guard instead of spinning outside it.
-_TRAMPOLINE_CAP = 64
+_INF = float("inf")
 
 
 class SimulationError(RuntimeError):
@@ -169,80 +162,16 @@ class Process(Event):
             if not self._triggered:
                 self.fail(exc)
             return
-        engine = self.engine
-        steps = 0
-        while True:
-            if isinstance(target, Event):
-                if not target._triggered:
-                    target.add_callback(self._on_event)
-                    return
-                # Trampoline: the yielded event already fired (a queue
-                # get/put with capacity, a pre-satisfied dependency).
-                # The normal path draws a ticket, enqueues the wakeup,
-                # and the run loop pops it straight back off.  When
-                # nothing else is runnable at this instant that wakeup
-                # *is* the next callback the engine would execute, so
-                # drive the generator inline — provably the same global
-                # FIFO order, just without the round-trip.  Any pending
-                # immediate callback, or a timed entry at the current
-                # timestamp, holds an older ticket than our would-be
-                # wakeup and must run first, so defer in those cases.
-                # (``_TRAMPOLINE_CAP`` keeps poll-forever loops
-                # reachable by the engine's ``max_events`` guard.)
-                head = engine._timeq.head
-                if (engine._immediate_q
-                        or (head is not None and head[0] == engine.now)
-                        or steps >= _TRAMPOLINE_CAP):
-                    target.add_callback(self._on_event)
-                    return
-                steps += 1
-                # Each inlined wakeup is still one processed event: the
-                # count (and the edge recorder's ticket stream) must be
-                # indistinguishable from the round-trip path.
-                engine.events_processed += 1
-                edges = engine.edges
-                if edges is not None:
-                    ticket = next(engine._counter)
-                    edges.on_wakeup(ticket, target)
-                    edges.on_execute(ticket, engine.now)
-                exc = target._exception
-                try:
-                    if exc is not None:
-                        target = self.generator.throw(exc)
-                    else:
-                        target = self._send(target._value)
-                except StopIteration as stop:
-                    if not self._triggered:
-                        self.succeed(getattr(stop, "value", None))
-                    return
-                except BaseException as exc2:
-                    if not self._triggered:
-                        self.fail(exc2)
-                    return
-            elif isinstance(target, (int, float)):
-                if target < 0:
-                    self._resume(None, SimulationError(
-                        f"process {self.name!r} yielded negative delay "
-                        f"{target}"))
-                    return
-                engine.schedule(engine.now + target, self._start)
-                return
-            else:
-                self._resume(None, SimulationError(
-                    f"process {self.name!r} yielded unsupported {target!r}"))
-                return
-
-    def _wait_on(self, target: Any) -> None:
-        # Kept for API compatibility; the hot path inlines this logic
-        # at the end of :meth:`_resume`.
         if isinstance(target, Event):
             target.add_callback(self._on_event)
         elif isinstance(target, (int, float)):
-            if target < 0:
+            if 0 <= target < _INF:
+                engine = self.engine
+                engine.schedule(engine.now + target, self._start)
+            else:
+                kind = "negative" if target < 0 else "non-finite"
                 self._resume(None, SimulationError(
-                    f"process {self.name!r} yielded negative delay {target}"))
-                return
-            self.engine.schedule(self.engine.now + target, self._start)
+                    f"process {self.name!r} yielded {kind} delay {target}"))
         else:
             self._resume(None, SimulationError(
                 f"process {self.name!r} yielded unsupported {target!r}"))
@@ -285,12 +214,6 @@ class Engine:
         #: event stream is bit-identical to ``None`` (conformance
         #: ``faults`` pillar).
         self.faults = None
-        #: optional :class:`~repro.sim.fastforward.FastForward`; when
-        #: attached, the run loop offers it every genuine time advance
-        #: and it may skip whole steady-state periods (provably
-        #: bit-identical — see the module docstring).  ``None`` (the
-        #: default) costs one attribute check per time advance.
-        self.fast_forward = None
         #: optional :class:`~repro.obs.critical.EdgeRecorder`; every
         #: ticket draw records its causal parent for critical-path
         #: extraction.  Recording never schedules anything and never
@@ -356,10 +279,7 @@ class Engine:
             if edges is not None:
                 edges.on_schedule(ticket, callback, 0)
             self._immediate_q.append((ticket, callback, _NO_ARG))
-        elif at < now:
-            raise SimulationError(
-                f"cannot schedule in the past ({at} < {now})")
-        else:
+        elif now < at < _INF:
             ticket = next(self._counter)
             edges = self.edges
             if edges is not None:
@@ -368,6 +288,11 @@ class Engine:
             timeq.push(at, ticket, callback)
             if timeq.size > self.peak_heap_size:
                 self.peak_heap_size = timeq.size
+        elif at < now:
+            raise SimulationError(
+                f"cannot schedule in the past ({at} < {now})")
+        else:
+            raise SimulationError(f"cannot schedule at non-finite time {at}")
 
     def _immediate(self, callback: Callable[[], None]) -> None:
         ticket = next(self._counter)
@@ -400,19 +325,23 @@ class Engine:
             max_events: int = 100_000_000) -> float:
         """Run until the queues drain or simulated time passes ``until``.
 
-        Returns the final simulation time.  ``max_events`` guards
+        Returns the final simulation time.  An ``until`` before the
+        current time raises :class:`SimulationError` and changes
+        nothing: the clock never runs backwards.  ``max_events`` guards
         against runaway simulations (e.g. a deadlocked polling loop):
         at most ``max_events`` callbacks execute, and the guard raises
         when an (``max_events`` + 1)-th is attempted.
         """
+        now = self.now
+        if until is not None and until < now:
+            raise SimulationError(
+                f"cannot run until {until}: the clock is already at {now}")
         timeq = self._timeq
         imm = self._immediate_q
         timeq_pop = timeq.pop
         popleft = imm.popleft
         processed = 0
-        now = self.now
         edges = self.edges
-        ff = self.fast_forward
         wall_start = perf_counter()
         try:
             while True:
@@ -421,9 +350,6 @@ class Engine:
                     # timed entry at the same time with an older ticket
                     # must still run first (global FIFO at equal
                     # timestamps).
-                    if (until is not None and now > until):
-                        self.now = until
-                        break
                     if processed >= max_events:
                         raise SimulationError(
                             f"exceeded {max_events} events; likely livelock")
@@ -444,13 +370,6 @@ class Engine:
                     if until is not None and at > until:
                         self.now = until
                         break
-                    if ff is not None and at > now:
-                        skipped = ff.consider(self, at, until,
-                                              max_events, processed)
-                        if skipped:
-                            processed += skipped
-                            head = timeq.head
-                            at = head[0]
                     if processed >= max_events:
                         raise SimulationError(
                             f"exceeded {max_events} events; likely livelock")

@@ -12,9 +12,9 @@ simulation time, and the event count.
 
 from hypothesis import given, settings
 
-from repro.sim.calendar import HeapTimeQueue
 from repro.sim.engine import _NO_ARG, Engine, SimulationError
 from tests import strategies as shared
+from tests.sim.heap_queue import HeapTimeQueue
 
 
 class _HeapShunt:

@@ -4,17 +4,18 @@ The calendar queue must be observably identical to a single binary heap
 ordered by ``(at, ticket)`` — these tests hit the structural edges the
 random equivalence programs are unlikely to reach: the overflow ladder
 (pushes beyond the bucket horizon), batch promotion when the buckets
-drain, backdated pushes below the calendar base, uniform time shifts,
-zero-delay self-reschedule storms, and the ``max_events`` guard
-boundary under the new queue.
+drain, backdated pushes below the calendar base, zero-delay
+self-reschedule storms, and the ``max_events`` guard boundary under the
+new queue.  The heap oracle is :mod:`tests.sim.heap_queue`.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.calendar import CalendarQueue, HeapTimeQueue
+from repro.sim.calendar import CalendarQueue
 from repro.sim.engine import Engine, SimulationError
+from tests.sim.heap_queue import HeapTimeQueue
 
 # Small geometry so a handful of pushes exercises overflow + promotion.
 WIDTH, NBUCKETS = 4.0, 8
@@ -104,17 +105,6 @@ def test_backdated_push_rebases():
     q.push(2.0, 3, None)
     assert [q.pop()[:2] for _ in range(3)] == [
         (1.0, 1), (2.0, 3), (5 * HORIZON + 1, 2)]
-
-
-def test_shift_all_preserves_order_across_tiers():
-    q = CalendarQueue(width=WIDTH, nbuckets=NBUCKETS)
-    ats = [0.5, 3.0, HORIZON - 1, 2 * HORIZON, 7 * HORIZON]
-    for ticket, at in enumerate(ats):
-        q.push(at, ticket, None)
-    q.shift_all(10.25)
-    assert q.head == (10.75, 0)
-    assert [q.pop()[0] for _ in range(len(ats))] == [
-        at + 10.25 for at in sorted(ats)]
 
 
 def test_pop_empty_raises():

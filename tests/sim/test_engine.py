@@ -40,6 +40,29 @@ class TestScheduling:
         engine.run()
         assert hits == [1]
 
+    def test_run_until_cannot_move_the_clock_backwards(self, engine):
+        def proc():
+            yield 10
+            yield 10
+
+        done = engine.process(proc())
+        assert engine.run(until=15) == 15
+        with pytest.raises(SimulationError, match=r"until 5\b.*at 15\b"):
+            engine.run(until=5)
+        assert engine.now == 15
+        assert engine.events_processed == 2
+        assert engine.run(until=15) == 15
+        assert engine.run() == 20
+        assert done.triggered
+
+    @pytest.mark.parametrize("at", [float("nan"), float("inf")])
+    def test_cannot_schedule_at_non_finite_time(self, engine, at):
+        with pytest.raises(SimulationError, match="non-finite"):
+            engine.schedule(at, lambda: None)
+        with pytest.raises(SimulationError, match="non-finite"):
+            engine.timeout(at)
+        assert engine._timeq.size == 0
+
 
 class TestProcesses:
     def test_delay_advances_time(self, engine):
@@ -70,6 +93,20 @@ class TestProcesses:
 
         with pytest.raises(SimulationError):
             engine.run_process(proc())
+
+    @pytest.mark.parametrize("delay", [float("nan"), float("inf")])
+    def test_non_finite_delay_raises_inside_process(self, engine, delay):
+        def sleeper():
+            yield delay
+
+        def waiter():
+            yield engine.timeout(delay)
+
+        with pytest.raises(SimulationError,
+                           match="'stuck' yielded non-finite delay"):
+            engine.run_process(sleeper(), name="stuck")
+        with pytest.raises(SimulationError, match="non-finite time"):
+            engine.run_process(waiter())
 
     def test_yielding_garbage_raises(self, engine):
         def proc():
@@ -168,6 +205,19 @@ class TestEvents:
             return engine.now, value
 
         assert engine.run_process(proc()) == (0, 5)
+
+    def test_polling_a_triggered_event_hits_the_livelock_guard(self, engine):
+        ev = engine.event()
+        ev.succeed()
+
+        def poller():
+            while True:
+                yield ev
+
+        engine.process(poller())
+        with pytest.raises(SimulationError, match="livelock"):
+            engine.run(max_events=1000)
+        assert engine.events_processed == 1000
 
     def test_timeout(self, engine):
         def proc():
