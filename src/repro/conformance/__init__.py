@@ -3,7 +3,7 @@
 The accelerator bring-up validated operators and whole DLRMs by
 sweeping shapes against known-good results; this package automates the
 same discipline over the reproduction so every refactor is checked by
-construction rather than by hand-picked examples.  Three pillars:
+construction rather than by hand-picked examples.  Four modules:
 
 * :mod:`repro.conformance.fuzzer` — a seeded random generator of valid
   DLRM-style compiler graphs (FC/EB/BMM/Concat/Transpose/elementwise
@@ -16,9 +16,10 @@ construction rather than by hand-picked examples.  Three pillars:
   the cycle-level simulator and the analytical model
   (:func:`repro.eval.opmodel.estimate_op`) and asserts the estimate
   brackets the simulated time within a configurable band;
-* :mod:`repro.conformance.determinism` — replays the same seed twice
-  (and once with metrics/tracing enabled) and asserts identical cycle
-  counts, stall attributions, and outputs.
+* :mod:`repro.conformance.determinism` — one registry of checks for
+  the determinism, cache, faults and autotune pillars: each row replays
+  a seeded subject under a perturbation and asserts bit-identical
+  results, or states an invariant; :func:`run_checks` drives them.
 
 ``python -m repro.conformance --seeds N`` drives all pillars and emits
 a JSON report; ``tests/conformance/`` integrates the same machinery
@@ -30,12 +31,12 @@ from repro.conformance.golden import (GOLDEN_OPS, TolerancePolicy,
                                       compare_outputs, evaluate_graph)
 from repro.conformance.crossval import (CrossvalBand, crossval_fc,
                                         crossval_tbe, fuzz_fc_shape)
-from repro.conformance.determinism import (check_graph_determinism,
-                                           check_sim_determinism)
+from repro.conformance.determinism import CHECKS, run_checks
 from repro.conformance.runner import (CaseResult, ConformanceConfig,
                                       ConformanceReport, run_conformance)
 
 __all__ = [
+    "CHECKS",
     "CaseResult",
     "ConformanceConfig",
     "ConformanceReport",
@@ -44,13 +45,12 @@ __all__ = [
     "FuzzConfig",
     "GOLDEN_OPS",
     "TolerancePolicy",
-    "check_graph_determinism",
-    "check_sim_determinism",
     "compare_outputs",
     "crossval_fc",
     "crossval_tbe",
     "evaluate_graph",
     "fuzz_fc_shape",
     "fuzz_graph",
+    "run_checks",
     "run_conformance",
 ]

@@ -20,6 +20,7 @@ import sys
 from typing import List, Optional
 
 from repro.conformance.crossval import CrossvalBand
+from repro.conformance.determinism import CHECK_PILLARS
 from repro.conformance.fuzzer import OP_FAMILIES
 from repro.conformance.golden import TolerancePolicy
 from repro.conformance.runner import (PILLARS, CaseResult,
@@ -118,13 +119,10 @@ def main(argv: Optional[List[str]] = None) -> int:
           f"{len(config.seed_list())} seeds "
           f"(ops: {','.join(config.ops)})")
     print(f"  golden divergences:     {totals['golden_divergences']}")
-    print(f"  determinism violations: {totals['determinism_violations']}")
-    if "cache" in config.pillars:
-        print(f"  cache violations:       {totals['cache_violations']}")
-    if "faults" in config.pillars:
-        print(f"  faults violations:      {totals['faults_violations']}")
-    if "autotune" in config.pillars:
-        print(f"  autotune violations:    {totals['autotune_violations']}")
+    for pillar in CHECK_PILLARS:
+        if pillar == "determinism" or pillar in config.pillars:
+            print(f"  {pillar + ' violations:':<24}"
+                  f"{totals[pillar + '_violations']}")
     print(f"  crossval band rate:     {totals['band_violation_rate']:.3f} "
           f"of {totals['crossval_cases']} cases "
           f"(band [{config.band.lo:.2f}, {config.band.hi:.2f}], "
@@ -134,24 +132,18 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     for case in report.failures():
         detail = case.details
-        if case.pillar == "crossval":
+        if case.status == "error":
+            extra = detail.get("exception", "error")
+        elif case.pillar == "crossval":
             extra = (f"ratio {detail.get('ratio', float('nan')):.3f} "
                      f"shape {detail.get('shape')}")
         elif case.pillar == "golden":
-            extra = "; ".join(
-                f"{d['output']}: {d['reason']}"
-                for d in detail.get("divergences", [])) or "error"
-        elif case.pillar == "cache":
-            extra = "; ".join(detail.get("cache", {}).get("violations", []))
-        elif case.pillar == "faults":
-            extra = "; ".join(detail.get("faults", {}).get("violations", []))
-        elif case.pillar == "autotune":
-            extra = "; ".join(
-                detail.get("autotune", {}).get("violations", []))
+            extra = "; ".join(f"{d['output']}: {d['reason']}"
+                              for d in detail.get("divergences", []))
         else:
-            extra = "; ".join(detail.get("sim", {}).get("violations", [])
-                              + detail.get("graph", {}).get("violations",
-                                                            []))
+            extra = "; ".join(f"{kind}: {violation}"
+                              for kind, result in detail.items()
+                              for violation in result["violations"])
         print(f"  FAIL seed={case.seed} [{case.pillar}] {extra}")
         print(f"       reproduce: {_replay_command(case, args)}")
 

@@ -11,23 +11,15 @@ from __future__ import annotations
 import json
 import traceback
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.conformance.crossval import (CrossvalBand, crossval_fc,
                                         crossval_tbe, fuzz_fc_shape,
                                         fuzz_tbe_shape)
-from repro.conformance.determinism import (check_autotune_determinism,
-                                           check_cache_determinism,
-                                           check_critical_noop,
-                                           check_fault_injection_noop,
-                                           check_fleet_determinism,
-                                           check_graph_cache_determinism,
-                                           check_graph_determinism,
-                                           check_serving_determinism,
-                                           check_sim_determinism,
-                                           check_telemetry_determinism)
+from repro.conformance.determinism import CHECK_PILLARS, run_checks
 from repro.conformance.fuzzer import OP_FAMILIES, FuzzConfig, fuzz_graph
 from repro.conformance.golden import (TolerancePolicy, compare_outputs,
                                       evaluate_graph)
@@ -100,25 +92,9 @@ class ConformanceReport:
     def failures(self) -> List[CaseResult]:
         return [c for c in self.cases if not c.ok]
 
-    @property
-    def golden_divergences(self) -> int:
-        return sum(1 for c in self.by_pillar("golden") if not c.ok)
-
-    @property
-    def determinism_violations(self) -> int:
-        return sum(1 for c in self.by_pillar("determinism") if not c.ok)
-
-    @property
-    def cache_violations(self) -> int:
-        return sum(1 for c in self.by_pillar("cache") if not c.ok)
-
-    @property
-    def faults_violations(self) -> int:
-        return sum(1 for c in self.by_pillar("faults") if not c.ok)
-
-    @property
-    def autotune_violations(self) -> int:
-        return sum(1 for c in self.by_pillar("autotune") if not c.ok)
+    def violations(self, pillar: str) -> int:
+        """Cases of ``pillar`` that did not pass."""
+        return sum(1 for c in self.by_pillar(pillar) if not c.ok)
 
     @property
     def band_violation_rate(self) -> float:
@@ -129,9 +105,7 @@ class ConformanceReport:
 
     @property
     def passed(self) -> bool:
-        if (self.golden_divergences or self.determinism_violations
-                or self.cache_violations or self.faults_violations
-                or self.autotune_violations):
+        if any(self.violations(p) for p in ("golden",) + CHECK_PILLARS):
             return False
         if any(c.status == "error" for c in self.cases):
             return False
@@ -144,11 +118,9 @@ class ConformanceReport:
             "passed": self.passed,
             "totals": {
                 "cases": len(self.cases),
-                "golden_divergences": self.golden_divergences,
-                "determinism_violations": self.determinism_violations,
-                "cache_violations": self.cache_violations,
-                "faults_violations": self.faults_violations,
-                "autotune_violations": self.autotune_violations,
+                "golden_divergences": self.violations("golden"),
+                **{f"{p}_violations": self.violations(p)
+                   for p in CHECK_PILLARS},
                 "crossval_cases": len(self.by_pillar("crossval")),
                 "band_violation_rate": self.band_violation_rate,
                 "errors": sum(1 for c in self.cases
@@ -188,28 +160,6 @@ def run_golden_case(seed: int, config: ConformanceConfig) -> CaseResult:
                       details=details)
 
 
-def run_determinism_case(seed: int,
-                         config: ConformanceConfig) -> CaseResult:
-    """Replay one seed at the sim, executor, serving, fleet levels."""
-    sim = check_sim_determinism(seed)
-    graph = check_graph_determinism(seed, FuzzConfig(ops=config.ops))
-    serving = check_serving_determinism(seed)
-    telemetry = check_telemetry_determinism(seed)
-    fleet = check_fleet_determinism(seed)
-    critical = check_critical_noop(seed)
-    violations = (sim.violations + graph.violations + serving.violations
-                  + telemetry.violations + fleet.violations
-                  + critical.violations)
-    status = "ok" if not violations else "violation"
-    return CaseResult(seed=seed, pillar="determinism", status=status,
-                      details={"sim": sim.to_dict(),
-                               "graph": graph.to_dict(),
-                               "serving": serving.to_dict(),
-                               "telemetry": telemetry.to_dict(),
-                               "fleet": fleet.to_dict(),
-                               "critical": critical.to_dict()})
-
-
 def run_crossval_case(seed: int, index: int,
                       config: ConformanceConfig) -> CaseResult:
     """Cross-validate one fuzzed shape (FC, or TBE every N-th case)."""
@@ -223,35 +173,18 @@ def run_crossval_case(seed: int, index: int,
                       details=result.to_dict())
 
 
-def run_cache_case(seed: int, config: ConformanceConfig) -> CaseResult:
-    """Prove cache hits are bit-identical to fresh computation.
+def run_check_case(pillar: str, seed: int, index: int,
+                   config: ConformanceConfig) -> CaseResult:
+    """Run one check pillar's registry rows; one ``details`` key per kind.
 
-    Two sub-checks: the whole-run sim cache (kernel granularity) and
-    the per-op graph cache (fresh / cold / warm / partial-warm).
+    ``index`` is unused: check rows run the same at every sweep position.
     """
-    result = check_cache_determinism(seed)
-    graph = check_graph_cache_determinism(seed,
-                                          FuzzConfig(ops=config.ops))
-    status = "ok" if result.ok and graph.ok else "violation"
-    return CaseResult(seed=seed, pillar="cache", status=status,
-                      details={"cache": result.to_dict(),
-                               "graph_cache": graph.to_dict()})
-
-
-def run_faults_case(seed: int, config: ConformanceConfig) -> CaseResult:
-    """Prove an armed-but-empty fault injector is a perfect no-op."""
-    result = check_fault_injection_noop(seed)
-    status = "ok" if result.ok else "violation"
-    return CaseResult(seed=seed, pillar="faults", status=status,
-                      details={"faults": result.to_dict()})
-
-
-def run_autotune_case(seed: int, config: ConformanceConfig) -> CaseResult:
-    """Seeded-search replay identity + tuned-mapping re-simulation."""
-    result = check_autotune_determinism(seed)
-    status = "ok" if result.ok else "violation"
-    return CaseResult(seed=seed, pillar="autotune", status=status,
-                      details={"autotune": result.to_dict()})
+    results = run_checks(pillar, seed, FuzzConfig(ops=config.ops))
+    status = ("ok" if all(r.ok for r in results.values())
+              else "violation")
+    return CaseResult(seed=seed, pillar=pillar, status=status,
+                      details={kind: r.to_dict()
+                               for kind, r in results.items()})
 
 
 def _case_job(job: Tuple[str, int, int, ConformanceConfig]) -> CaseResult:
@@ -263,8 +196,10 @@ def _case_job(job: Tuple[str, int, int, ConformanceConfig]) -> CaseResult:
     """
     pillar, seed, index, config = job
     try:
+        if pillar not in _RUNNERS:
+            raise ValueError(f"unknown pillar {pillar!r}")
         with np.errstate(over="ignore"):  # saturating sigmoids
-            return _run_case(pillar, seed, index, config)
+            return _RUNNERS[pillar](seed, index, config)
     except Exception as exc:
         return CaseResult(
             seed=seed, pillar=pillar, status="error",
@@ -298,18 +233,9 @@ def run_conformance(config: Optional[ConformanceConfig] = None,
     return report
 
 
-def _run_case(pillar: str, seed: int, index: int,
-              config: ConformanceConfig) -> CaseResult:
-    if pillar == "golden":
-        return run_golden_case(seed, config)
-    if pillar == "determinism":
-        return run_determinism_case(seed, config)
-    if pillar == "crossval":
-        return run_crossval_case(seed, index, config)
-    if pillar == "cache":
-        return run_cache_case(seed, config)
-    if pillar == "faults":
-        return run_faults_case(seed, config)
-    if pillar == "autotune":
-        return run_autotune_case(seed, config)
-    raise ValueError(f"unknown pillar {pillar!r}")
+_RUNNERS: Dict[str, Callable[[int, int, ConformanceConfig], CaseResult]] = {
+    "golden": lambda seed, _index, config: run_golden_case(seed, config),
+    "crossval": run_crossval_case,
+    **{pillar: partial(run_check_case, pillar) for pillar in CHECK_PILLARS},
+}
+

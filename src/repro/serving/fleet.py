@@ -42,8 +42,8 @@ Determinism contract: a fleet run is a pure function of
 ``(trace, FleetConfig, fault plan)`` — per-replica runs are pure, the
 router's randomness is pre-drawn from ``RouterConfig.seed``, and
 assembly is in fixed replica order — so reports are **byte-identical
-at any ``jobs`` count** (the conformance ``check_fleet_determinism``
-and the CI fleet job pin this), and a 1-replica fleet with trivial
+at any ``jobs`` count** (the conformance ``fleet`` check rows and the
+CI fleet job pin this), and a 1-replica fleet with trivial
 routing is **bit-identical** to the bare per-replica engine.
 """
 

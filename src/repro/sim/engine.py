@@ -220,8 +220,8 @@ class Engine:
         #: draws an extra ticket, so with ``None`` (the default) the
         #: event stream is bit-identical to a kernel without the hooks,
         #: and with a recorder attached the simulated *results* are
-        #: unchanged (conformance ``determinism`` pillar,
-        #: ``check_critical_noop``).  Attach between runs, not mid-run.
+        #: unchanged (the conformance ``critical`` check rows).  Attach
+        #: between runs, not mid-run.
         self.edges = None
 
     # -- construction helpers ------------------------------------------

@@ -23,7 +23,7 @@ whole entry.  This module caches at *operator* granularity instead:
 Correctness contract: a cache hit must be bit-identical to recomputing
 the node.  The conformance ``cache`` pillar replays fuzzed graphs
 fresh / cold / warm / partial-warm and compares every output bitwise
-(:func:`repro.conformance.determinism.check_graph_cache_determinism`).
+(the ``graph_cache`` rows of :data:`repro.conformance.determinism.CHECKS`).
 """
 
 from __future__ import annotations

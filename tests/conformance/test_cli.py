@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from repro.conformance import determinism
 from repro.conformance.__main__ import build_parser, main
+from repro.conformance.determinism import CHECKS, Perturbation
 from repro.conformance.runner import (ConformanceConfig,
                                       run_conformance)
 
@@ -28,6 +30,19 @@ def test_replay_overrides_sweep(capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "1 cases over 1 seeds" in out
+
+
+def test_every_check_violation_is_printed(monkeypatch, capsys):
+    # A determinism case failing outside the sim and graph kinds used to
+    # print an empty FAIL reason.
+    row = next(r for r in CHECKS if r.kind == "fleet")
+    steered = row._replace(perturbation=Perturbation(
+        "steered", lambda run: run(seed=12345)))
+    monkeypatch.setattr(determinism, "CHECKS", (steered,))
+    code = main(["--replay", "0", "--pillars", "determinism", "--quiet"])
+    assert code == 1
+    assert ("FAIL seed=0 [determinism] fleet: fleet steered changed "
+            "cycles: ") in capsys.readouterr().out
 
 
 def test_unknown_op_family_is_a_usage_error(capsys):

@@ -3,9 +3,9 @@
 import pytest
 from hypothesis import given, settings
 
-from repro.conformance import (CrossvalBand, check_graph_determinism,
-                               check_sim_determinism, crossval_fc,
-                               fuzz_fc_shape)
+from repro.conformance import (CHECKS, CrossvalBand, crossval_fc,
+                               fuzz_fc_shape, run_checks)
+from repro.conformance import determinism
 from repro.conformance.crossval import CrossvalResult, fuzz_tbe_shape
 from tests import strategies as shared
 
@@ -44,16 +44,22 @@ def test_crossval_fc_stays_in_band(seed):
     assert result.sim_seconds > 0 and result.model_seconds > 0
 
 
-def test_sim_determinism_and_hooks_are_noops():
-    result = check_sim_determinism(0)
+def _rows_of(kind):
+    return tuple(row for row in CHECKS if row.kind == kind)
+
+
+def test_sim_determinism_and_hooks_are_noops(monkeypatch):
+    monkeypatch.setattr(determinism, "CHECKS", _rows_of("sim"))
+    result = run_checks("determinism", 0)["sim"]
     assert result.ok, result.violations
     assert result.cycles > 0
 
 
-@settings(max_examples=5)   # each example executes a fuzzed graph twice
+@settings(max_examples=5)   # each example executes a fuzzed graph 4 times
 @given(seed=shared.fuzz_seeds)
 def test_graph_executor_replays_deterministically(seed):
     import numpy as np
-    with np.errstate(over="ignore"):
-        result = check_graph_determinism(seed)
+    with pytest.MonkeyPatch.context() as patch, np.errstate(over="ignore"):
+        patch.setattr(determinism, "CHECKS", _rows_of("graph"))
+        result = run_checks("determinism", seed)["graph"]
     assert result.ok, result.violations
