@@ -23,31 +23,55 @@ stores merge into the same fleet store regardless of merge order:
   construction), bottom-k over a fixed priority function is a pure
   function of the record *set* — merge in any order, get the same
   sample.
+
+Because both rules are pure functions of the record set, a whole
+replica's requests can be selected at once: :meth:`ExemplarStore.offer_many`
+ranks them with numpy and builds records only for the winners, with the
+same result as one :meth:`ExemplarStore.offer` per request.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Tuple
 
-__all__ = ["ExemplarRecord", "ExemplarStore", "priority_hash"]
+import numpy as np
 
-_MASK64 = (1 << 64) - 1
+__all__ = ["ExemplarRecord", "ExemplarStore", "priority_hash",
+           "priority_hash_many"]
+
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 
-def _splitmix64(x: int) -> int:
-    """One splitmix64 round — a fast, well-mixed 64-bit integer hash."""
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (x ^ (x >> 31)) & _MASK64
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """One splitmix64 round over a uint64 array (multiplies wrap mod 2⁶⁴)."""
+    x = x + np.uint64(0x9E3779B97F4A7C15)
+    x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return x ^ (x >> np.uint64(31))
+
+
+def priority_hash_many(seed: int, replica: int,
+                       request_ids: np.ndarray) -> np.ndarray:
+    """Deterministic priorities in [0, 1) for bottom-k sampling.
+
+    ``splitmix64(splitmix64(seed) ^ splitmix64(replica_lo32 << 32 |
+    request_id_lo32)) / 2⁶⁴``.  uint64 arithmetic wraps exactly like the
+    masked integer definition, and the uint64 → float64 conversion rounds
+    to nearest-even, as Python's ``int / float`` does.
+    """
+    ids = np.asarray(request_ids).astype(np.int64).astype(np.uint64)
+    seeded = _splitmix64(np.array([seed & (2**64 - 1)], dtype=np.uint64))
+    high = np.uint64((int(replica) & 0xFFFFFFFF) << 32)
+    h = _splitmix64(seeded ^ _splitmix64(high | (ids & _LOW32)))
+    return h.astype(np.float64) / float(1 << 64)
 
 
 def priority_hash(seed: int, replica: int, request_id: int) -> float:
-    """Deterministic priority in [0, 1) for bottom-k sampling."""
-    h = _splitmix64(_splitmix64(seed & _MASK64) ^ _splitmix64(
-        ((replica & 0xFFFFFFFF) << 32) | (request_id & 0xFFFFFFFF)))
-    return h / float(1 << 64)
+    """One request's :func:`priority_hash_many` priority."""
+    return float(priority_hash_many(seed, replica,
+                                    [request_id & 0xFFFFFFFF])[0])
 
 
 @dataclass(frozen=True)
@@ -99,14 +123,49 @@ class ExemplarStore:
                 record.replica, record.request_id)
         self._insert(self._reservoir, pkey, record, self.reservoir_size)
 
+    def offer_many(self, replica: int, request_ids: np.ndarray,
+                   latency_us: np.ndarray,
+                   record_for: Callable[[int], ExemplarRecord]) -> None:
+        """:meth:`offer` every request of one replica, selected in bulk.
+
+        ``request_ids`` and ``latency_us`` align; ``record_for(request_id)``
+        builds a request's record and is called only for the at most
+        ``slowest_k + reservoir_size`` winners.  The store ends up exactly
+        as after one :meth:`offer` per request, in any order: with the
+        replica fixed, ``lexsort((request_id, -latency))`` and
+        ``lexsort((request_id, priority))`` are the stores' own total
+        orders.
+        """
+        replica = int(replica)
+        ids = np.asarray(request_ids, dtype=np.int64).ravel()
+        lat = np.asarray(latency_us, dtype=float).ravel()
+        if ids.shape != lat.shape:
+            raise ValueError("request_ids and latency_us must align")
+        records: Dict[int, ExemplarRecord] = {}
+
+        def winner(rid: int) -> ExemplarRecord:
+            if rid not in records:
+                records[rid] = record_for(rid)
+            return records[rid]
+
+        if self.slowest_k > 0:
+            for i in np.lexsort((ids, -lat))[:self.slowest_k].tolist():
+                rid = int(ids[i])
+                self._insert(self._slowest, (-float(lat[i]), replica, rid),
+                             winner(rid), self.slowest_k)
+        if self.reservoir_size > 0:
+            prio = priority_hash_many(self.seed, replica, ids)
+            for i in np.lexsort((ids, prio))[:self.reservoir_size].tolist():
+                rid = int(ids[i])
+                self._insert(self._reservoir, (float(prio[i]), replica, rid),
+                             winner(rid), self.reservoir_size)
+
     @staticmethod
     def _insert(store: List, key, record: ExemplarRecord,
                 capacity: int) -> None:
         if capacity <= 0:
             return
-        import bisect
-        keys = [k for k, _r in store]
-        pos = bisect.bisect_left(keys, key)
+        pos = bisect.bisect_left([k for k, _r in store], key)
         if pos >= capacity:
             return
         store.insert(pos, (key, record))

@@ -74,6 +74,23 @@ class QuantileSketch:
         """Bucket key: smallest k with value <= gamma**k."""
         return math.ceil(math.log(value) / self._ln_gamma)
 
+    def _keys(self, values):
+        """:meth:`_key` of every positive value in a numpy array, exactly.
+
+        ``np.log`` may round the last bit differently from ``math.log``
+        (it does on some SIMD builds), which changes a key only when the
+        quotient lies next to an integer; those few values are keyed
+        with :meth:`_key` so :meth:`add` and :meth:`add_many` agree.
+        """
+        import numpy as np
+        quotient = np.log(values) / self._ln_gamma
+        keys = np.ceil(quotient).astype(np.int64)
+        near = np.abs(quotient - np.rint(quotient)) <= 1e-9 * np.maximum(
+            1.0, np.abs(quotient))
+        for i in np.flatnonzero(near).tolist():
+            keys[i] = self._key(float(values[i]))
+        return keys
+
     def add(self, value: float) -> None:
         value = float(value)
         if math.isnan(value):
@@ -99,14 +116,18 @@ class QuantileSketch:
             return
         if np.isnan(arr).any():
             raise ValueError("cannot sketch NaN")
-        self._min = min(self._min, float(arr.min()))
-        self._max = max(self._max, float(arr.max()))
+        # first occurrence of each extreme: the tie rule of add()
+        low, high = float(arr[arr.argmin()]), float(arr[arr.argmax()])
+        if low < self._min:
+            self._min = low
+        if high > self._max:
+            self._max = high
         self.zero_count += int(np.count_nonzero(arr == 0.0))
         for signed, store in ((arr[arr > 0.0], self.counts),
                               (-arr[arr < 0.0], self.neg_counts)):
             if signed.size == 0:
                 continue
-            keys = np.ceil(np.log(signed) / self._ln_gamma).astype(np.int64)
+            keys = self._keys(signed)
             uniq, n = np.unique(keys, return_counts=True)
             for key, count in zip(uniq.tolist(), n.tolist()):
                 store[key] = store.get(key, 0) + int(count)

@@ -123,9 +123,9 @@ class ServingTelemetry:
                 [b.dispatch_us for b in report.batches],
                 [float(b.queue_depth) for b in report.batches])
 
-        for r in np.flatnonzero(mask).tolist():
+        def record_for(r: int) -> ExemplarRecord:
             b = int(report.batch_index[r])
-            out.exemplars.offer(ExemplarRecord(
+            return ExemplarRecord(
                 replica=int(replica), request_id=r,
                 arrival_us=float(arrivals[r]),
                 latency_us=float(report.latencies_us[r]),
@@ -135,7 +135,10 @@ class ServingTelemetry:
                 batch_index=b,
                 batch_size=report.batches[b].size,
                 status=STATUS_NAMES[int(report.status[r])],
-                retry_overhead_us=float(report.retry_overhead_us[r])))
+                retry_overhead_us=float(report.retry_overhead_us[r]))
+
+        out.exemplars.offer_many(replica, np.flatnonzero(mask), lat,
+                                 record_for)
         return out
 
     # -- merging ---------------------------------------------------------

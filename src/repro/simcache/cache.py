@@ -53,8 +53,9 @@ from repro.obs.metrics import MetricRegistry
 CACHE_ENV_VAR = "REPRO_SIM_CACHE"
 
 #: Bump when the entry layout or key derivation changes; stale disk
-#: entries are ignored, never misread.
-SCHEMA_VERSION = 1
+#: entries are ignored, never misread.  Version 2 added the payload
+#: ``digest``.
+SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +125,7 @@ class CacheEntry:
     extras: Dict[str, Any] = field(default_factory=dict)
 
     def to_json_dict(self) -> Dict[str, Any]:
-        return {
+        data = {
             "schema_version": SCHEMA_VERSION,
             "key": self.key,
             "op": self.op,
@@ -135,6 +136,8 @@ class CacheEntry:
             "stalls_recorded": self.stalls_recorded,
             "extras": canonical(self.extras),
         }
+        data["digest"] = payload_digest(data)
+        return data
 
     @classmethod
     def from_json_dict(cls, data: Dict[str, Any]) -> "CacheEntry":
@@ -145,6 +148,13 @@ class CacheEntry:
             stalls=[(t, c, v) for t, c, v in data.get("stalls", [])],
             stalls_recorded=bool(data.get("stalls_recorded", False)),
             extras=dict(data.get("extras", {})))
+
+
+def payload_digest(data: Dict[str, Any]) -> str:
+    """sha256 of an entry's canonical JSON, its own ``digest`` excluded."""
+    body = {k: v for k, v in data.items() if k != "digest"}
+    text = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def _encode_array(array: np.ndarray) -> Dict[str, Any]:
@@ -230,16 +240,29 @@ class SimCache:
         return os.path.join(self.path, f"{key}.json")
 
     def _read_disk(self, key: str) -> Optional[CacheEntry]:
+        """The disk entry for ``key``, or ``None`` for anything unusable.
+
+        A missing or unreadable file, a foreign schema or key, a payload
+        whose digest does not match, and any decode failure are all
+        misses: the caller re-simulates and overwrites the entry.
+        """
         try:
             with open(self._file_for(key)) as fh:
                 data = json.load(fh)
         except (OSError, ValueError):
             return None
+        if not isinstance(data, dict):
+            return None
         if data.get("schema_version") != SCHEMA_VERSION:
             return None
         if data.get("key") != key:
             return None
-        return CacheEntry.from_json_dict(data)
+        if data.get("digest") != payload_digest(data):
+            return None
+        try:
+            return CacheEntry.from_json_dict(data)
+        except (KeyError, TypeError, ValueError, zlib.error):
+            return None
 
     def _write_disk(self, entry: CacheEntry) -> None:
         final = self._file_for(entry.key)

@@ -59,6 +59,40 @@ class TestBasics:
         bulk.add_many(values)
         assert canonical(one) == canonical(bulk)
 
+    def test_add_many_keeps_the_first_signed_zero(self):
+        # min/max follow add()'s strict < / > rule: among equal extremes
+        # (here 0.0 and -0.0) the first one seen stays
+        for values in ([0.0, -0.0] * 20, [-0.0, 0.0] * 20):
+            one = QuantileSketch()
+            for v in values:
+                one.add(v)
+            bulk = QuantileSketch()
+            bulk.add_many(values)
+            assert repr((bulk.min, bulk.max)) == repr((one.min, one.max))
+            assert canonical(bulk) == canonical(one)
+
+    @pytest.mark.parametrize("alpha", [0.005, DEFAULT_RELATIVE_ACCURACY,
+                                       0.05])
+    def test_add_and_add_many_agree_on_bucket_boundaries(self, alpha):
+        """add (math.log) and add_many (np.log, with a math.log recheck
+        next to integer quotients) pick the same key at every gamma**k,
+        k in [-200, 1500], and at both float neighbours."""
+        gamma = QuantileSketch(alpha).gamma
+        values = []
+        for k in range(-200, 1501):
+            edge = math.pow(gamma, k)
+            values += [np.nextafter(edge, 0.0), edge,
+                       np.nextafter(edge, math.inf)]
+        bulk = QuantileSketch(alpha)
+        bulk.add_many(values)
+        one = QuantileSketch(alpha)
+        for v in values:
+            one.add(float(v))
+        assert bulk.counts == one.counts
+        # and value by value, so no two disagreements can cancel out
+        assert one._keys(np.array(values)).tolist() == [
+            one._key(float(v)) for v in values]
+
     def test_zeros_and_negatives(self):
         s = QuantileSketch()
         s.add_many([-100.0, -1.0, 0.0, 0.0, 1.0, 100.0])

@@ -9,7 +9,8 @@ import pytest
 from repro.simcache import (CACHE_ENV_VAR, CacheEntry, SimCache,
                             array_digest, cache_from_env, fingerprint,
                             reset_env_cache, resolve_cache)
-from repro.simcache.cache import SCHEMA_VERSION, canonical, usable_for
+from repro.simcache.cache import (SCHEMA_VERSION, canonical, payload_digest,
+                                  usable_for)
 
 
 @pytest.fixture(autouse=True)
@@ -123,6 +124,40 @@ class TestDiskTier:
         with open(file, "w") as fh:
             json.dump(data, fh)
         assert SimCache(path=path).lookup("k0", "fc") is None
+
+    @staticmethod
+    def _rewrite(path, edit, redigest=True):
+        """Edit the stored k0 entry; ``redigest`` re-signs it as a
+        faulty writer would, so only decoding can catch the damage."""
+        file = os.path.join(path, "k0.json")
+        data = json.load(open(file))
+        edit(data)
+        if redigest:
+            data["digest"] = payload_digest(data)
+        with open(file, "w") as fh:
+            json.dump(data, fh)
+
+    @pytest.mark.parametrize("damage", ["missing_op", "corrupt_payload",
+                                        "tampered_cycles"])
+    def test_damaged_entry_is_a_counted_miss_then_recomputed(
+            self, tmp_path, damage):
+        path = str(tmp_path / "cache")
+        SimCache(path=path).store(_entry())
+        if damage == "missing_op":
+            self._rewrite(path, lambda d: d.pop("op"))
+        elif damage == "corrupt_payload":
+            self._rewrite(path, lambda d: d["outputs"]["c_t"].update(
+                data="bm90IHpsaWI="))         # base64, but not zlib
+        else:
+            self._rewrite(path, lambda d: d.update(cycles=1.0),
+                          redigest=False)
+        cache = SimCache(path=path)
+        assert cache.lookup("k0", "fc") is None
+        assert cache.stats()["misses"] == 1.0
+        cache.store(_entry())                 # the recompute overwrites
+        fresh = SimCache(path=path)
+        assert fresh.lookup("k0", "fc").cycles == 123.5
+        assert fresh.stats()["hits"] == 1.0
 
     def test_corrupt_file_is_a_miss_not_an_error(self, tmp_path):
         path = str(tmp_path / "cache")
