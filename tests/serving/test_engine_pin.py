@@ -8,6 +8,12 @@ configurations with three fault plans, two offered loads and two
 batching windows; a second set runs the default configuration with
 request-waterfall spans on, so the span trees are pinned too.
 
+Two larger sets reach long served runs: the ``serving_ladder`` benchmark
+shape (50 000 requests, ``max_batch`` 128, at its four offered loads
+plus a 400 k QPS overload, where the ``shed`` configuration first sheds,
+with the default, ``retry`` and ``shed`` resilience), and every
+per-replica report of the ``fleet_diurnal`` fleet at seeds 0-2.
+
 A mismatch means the engine's arithmetic changed.  If that is intended,
 regenerate the literals with ``python -m tests.serving.test_engine_pin``
 and say why in the change.
@@ -26,6 +32,7 @@ from repro.faults import FaultInjector, FaultPlan, FaultProfile
 from repro.obs.metrics import MetricRegistry
 from repro.obs.spans import SpanTracer
 from repro.serving import BatchingConfig, ResilienceConfig, simulate_serving
+from tests.serving.test_telemetry_pin import fleet_report
 
 REQUESTS = 300
 
@@ -50,6 +57,13 @@ TRACED = {
     "q200k-b256": (200_000.0, BatchingConfig(256, 300.0), None),
     "q80k-b32-some": (80_000.0, BatchingConfig(32, 100.0), {0, 3, 7}),
 }
+
+#: the ``serving_ladder`` benchmark shape, plus an overload point
+LADDER_QPS = (2_000.0, 10_000.0, 30_000.0, 60_000.0, 400_000.0)
+LADDER_BATCHING = BatchingConfig(max_batch=128, max_wait_us=300.0)
+LADDER_REQUESTS = 50_000
+LADDER_RESILIENCE = ("default", "retry", "shed")
+FLEET_SEEDS = (0, 1, 2)
 
 ARRAYS = ("latencies_us", "queue_wait_us", "batch_wait_us", "execute_us",
           "arrivals_us", "batch_index", "status", "retry_overhead_us",
@@ -123,6 +137,31 @@ def run_traced(key: str, engine=simulate_serving) -> str:
     return _digest(report, TRACED_ARRAYS, spans)
 
 
+def ladder():
+    """``case id -> (resilience, qps, seed)`` of the ladder runs."""
+    return {f"{res}/q{int(qps) // 1000}k": (res, qps, seed)
+            for res in LADDER_RESILIENCE
+            for seed, qps in enumerate(LADDER_QPS)}
+
+
+def run_ladder(key: str, engine=simulate_serving) -> str:
+    res, qps, seed = ladder()[key]
+    report = engine(latency_model, qps, LADDER_BATCHING,
+                    resilience=RESILIENCE[res], num_requests=LADDER_REQUESTS,
+                    seed=seed, registry=MetricRegistry())
+    return _digest(report, ARRAYS)
+
+
+def fleet_cases():
+    return {f"seed{seed}/replica{r}": (seed, r)
+            for seed in FLEET_SEEDS for r in range(6)}
+
+
+def run_fleet(key: str) -> str:
+    seed, r = fleet_cases()[key]
+    return _digest(fleet_report(seed).per_replica[r], ARRAYS)
+
+
 PINNED: Dict[str, str] = {
     "default/card.failure/q20k/b32": "403b0c9d28ba5818",
     "default/card.failure/q20k/b4": "d0a74b8257864413",
@@ -182,6 +221,46 @@ PINNED_TRACED: Dict[str, str] = {
 }
 
 
+PINNED_LADDER: Dict[str, str] = {
+    "default/q10k": "084547c1b0ae3d09",
+    "default/q2k": "29cbd2afc76ff693",
+    "default/q30k": "e7814cd49ab4b060",
+    "default/q400k": "48c987c449c97816",
+    "default/q60k": "9f9003c64170f5dc",
+    "retry/q10k": "05fdd6984ab3ec07",
+    "retry/q2k": "78971b010af30227",
+    "retry/q30k": "34faf30e87d2c401",
+    "retry/q400k": "e7dd4552e18af08c",
+    "retry/q60k": "9ef57fb748196fec",
+    "shed/q10k": "084547c1b0ae3d09",
+    "shed/q2k": "29cbd2afc76ff693",
+    "shed/q30k": "e7814cd49ab4b060",
+    "shed/q400k": "d3b94761b49118d3",
+    "shed/q60k": "9f9003c64170f5dc",
+}
+
+PINNED_FLEET: Dict[str, str] = {
+    "seed0/replica0": "ea807c45e223c5c2",
+    "seed0/replica1": "3c14a49cbfb0e2e0",
+    "seed0/replica2": "3de22c3de57d18f0",
+    "seed0/replica3": "d1cc6e3a5e1bd71f",
+    "seed0/replica4": "6fb31343cf54b76f",
+    "seed0/replica5": "0cd3778242d436d3",
+    "seed1/replica0": "8ad2c38d2767ae8a",
+    "seed1/replica1": "921f3dd0543451a1",
+    "seed1/replica2": "ee7649507d949b97",
+    "seed1/replica3": "8ffd31c3ea9a3e5f",
+    "seed1/replica4": "48f4ec2ab0c6f3fa",
+    "seed1/replica5": "406d2a82e3802c5a",
+    "seed2/replica0": "c0ff3195f44a6ad4",
+    "seed2/replica1": "c98c5fbc6f7d13c0",
+    "seed2/replica2": "41db863a516bce68",
+    "seed2/replica3": "f9be0b1aafe8016f",
+    "seed2/replica4": "f0275ffc0bd9c822",
+    "seed2/replica5": "6e7a21c0043d93b9",
+}
+
+
 @pytest.mark.parametrize("key", sorted(grid()))
 def test_grid_outputs_are_pinned(key):
     assert run_case(key) == PINNED[key]
@@ -192,8 +271,19 @@ def test_traced_outputs_are_pinned(key):
     assert run_traced(key) == PINNED_TRACED[key]
 
 
+@pytest.mark.parametrize("key", sorted(ladder()))
+def test_ladder_outputs_are_pinned(key):
+    assert run_ladder(key) == PINNED_LADDER[key]
+
+
+@pytest.mark.parametrize("key", sorted(fleet_cases()))
+def test_fleet_replica_outputs_are_pinned(key):
+    assert run_fleet(key) == PINNED_FLEET[key]
+
+
 if __name__ == "__main__":
-    for run, keys in ((run_case, grid()), (run_traced, TRACED)):
+    for run, keys in ((run_case, grid()), (run_traced, TRACED),
+                      (run_ladder, ladder()), (run_fleet, fleet_cases())):
         print("{")
         for key in sorted(keys):
             print(f"    {json.dumps(key)}: {json.dumps(run(key))},")
