@@ -796,17 +796,15 @@ class FleetReport(OutcomeQueries):
                 relative_accuracy=relative_accuracy,
                 name=f"replica{spec.replica}.observed_latency_us")
 
-        mask = self.served_mask
-        if self.arrivals_us.size:
-            completion = self.arrivals_us + self.latencies_us
-            order = np.argsort(completion, kind="stable")
-            for i in order.tolist():
-                if not mask[i]:
-                    continue
-                r = int(self.replica[i])
-                value = float(self.latencies_us[i])
-                sketches[r].add(value)
-                series[r].record(float(completion[i]), value)
+        completion = self.arrivals_us + self.latencies_us
+        order = np.argsort(completion, kind="stable")
+        order = order[self.served_mask[order]]
+        replicas = self.replica[order]
+        for r in sketches:
+            mine = order[replicas == r]   # still in completion order
+            values = self.latencies_us[mine]
+            sketches[r].add_many(values)
+            series[r].record_many(completion[mine], values)
 
         service: Dict[int, float] = {}
         for spec, report in zip(self.config.replicas, self.per_replica):
@@ -814,8 +812,7 @@ class FleetReport(OutcomeQueries):
             indices = report.batch_index[local]
             if indices.size == 0:
                 continue
-            sizes = np.array([report.batches[j].size
-                              for j in indices.tolist()], dtype=float)
+            sizes = np.asarray(report.batch_sizes, dtype=float)[indices]
             per_request = report.execute_us[local] / sizes
             service[spec.replica] = float(np.median(per_request))
         return ObservedLatencyFeed(window_us=window_us, sketches=sketches,

@@ -32,6 +32,7 @@ and the CI telemetry job both assert this).
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -171,11 +172,14 @@ class ServingTelemetry:
     @classmethod
     def merge_all(cls, parts: Sequence["ServingTelemetry"]
                   ) -> "ServingTelemetry":
-        """Merge per-replica telemetry in replica-index order."""
+        """Merge per-replica telemetry in replica-index order.
+
+        Returns a new object; no part is modified.
+        """
         if not parts:
             raise ValueError("nothing to merge")
         ordered = sorted(parts, key=lambda t: min(t.replicas or [0]))
-        out = ordered[0]
+        out = copy.deepcopy(ordered[0])
         for part in ordered[1:]:
             out.merge(part)
         return out

@@ -98,6 +98,41 @@ class TestBatchingConfigValidation:
         assert report.batch_sizes == [1] * 50
 
 
+class TestServingInputValidation:
+    """Inputs that used to yield NaN or negative results are refused."""
+
+    @pytest.mark.parametrize("qps", [float("nan"), float("inf")])
+    def test_non_finite_qps_rejected(self, qps):
+        with pytest.raises(ValueError, match="qps"):
+            simulate_serving(linear_latency, qps=qps, num_requests=10)
+
+    def test_negative_num_requests_rejected(self):
+        with pytest.raises(ValueError, match="num_requests"):
+            simulate_serving(linear_latency, qps=1_000, num_requests=-1)
+
+    @pytest.mark.parametrize("arrivals", [[0.0, float("nan"), 5.0],
+                                          [0.0, float("inf")]])
+    def test_non_finite_arrivals_rejected(self, arrivals):
+        with pytest.raises(ValueError, match="arrivals"):
+            simulate_serving(linear_latency, qps=0, arrivals=arrivals)
+
+    def test_nan_latency_rejected_naming_the_size(self):
+        with pytest.raises(ValueError, match=r"latency_model\(3\)"):
+            simulate_serving(lambda b: float("nan"), qps=0,
+                             arrivals=[0.0, 1.0, 2.0])
+
+    def test_negative_latency_rejected_naming_the_size(self):
+        with pytest.raises(ValueError, match=r"latency_model\(1\)"):
+            simulate_serving(lambda b: -5.0, qps=1_000, num_requests=10,
+                             batching=BatchingConfig(max_batch=1))
+
+    def test_zero_latency_accepted(self):
+        report = simulate_serving(lambda b: 0.0, qps=1_000,
+                                  num_requests=10)
+        assert report.availability == 1.0
+        assert report.busy_fraction == 0.0
+
+
 class TestBatchLatencyModel:
     @pytest.fixture(scope="class")
     def model(self):

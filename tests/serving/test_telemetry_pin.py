@@ -58,8 +58,7 @@ def fleet_report(seed: int):
 
 
 def replica_parts(seed: int) -> List[ServingTelemetry]:
-    """Fresh per-replica telemetry (``merge_all`` folds into its first
-    part, so the report's own replica-0 telemetry is the fleet one)."""
+    """Fresh per-replica telemetry, rebuilt from each replica's report."""
     return [ServingTelemetry.from_report(rep, replica=r)
             for r, rep in enumerate(fleet_report(seed).per_replica)]
 
@@ -154,6 +153,18 @@ def test_merge_all_is_order_invariant(seed):
     expected = fleet_report(seed).telemetry.to_dict(include_state=True)
     assert (json.dumps(merged.to_dict(include_state=True), sort_keys=True)
             == json.dumps(expected, sort_keys=True))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_replica_telemetry_survives_the_fleet_merge(seed):
+    """After ``simulate_fleet`` each replica report's telemetry is its
+    own, not the fleet aggregate ``merge_all`` built from it."""
+    report = fleet_report(seed)
+    for rep, part in zip(report.per_replica, replica_parts(seed)):
+        assert (json.dumps(rep.telemetry.to_dict(include_state=True),
+                           sort_keys=True)
+                == json.dumps(part.to_dict(include_state=True),
+                              sort_keys=True))
 
 
 if __name__ == "__main__":
