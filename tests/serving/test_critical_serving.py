@@ -159,10 +159,41 @@ class TestSlowestPaths:
         assert slowest_critical_paths(report, k=0) == []
 
 
+def observed_by_loop(report, window_us):
+    """Reference feed: every served request, one ``add``/``record`` each,
+    in completion order (the array path must give the same state)."""
+    from repro.obs.sketch import QuantileSketch
+    from repro.obs.timeseries import WindowedSeries
+    sketches, series = {}, {}
+    for spec in report.config.replicas:
+        sketches[spec.replica] = QuantileSketch(0.01)
+        series[spec.replica] = WindowedSeries(
+            window_us, track_quantiles=True, relative_accuracy=0.01,
+            name=f"replica{spec.replica}.observed_latency_us")
+    completion = report.arrivals_us + report.latencies_us
+    for i in np.argsort(completion, kind="stable").tolist():
+        if report.served_mask[i]:
+            r = int(report.replica[i])
+            value = float(report.latencies_us[i])
+            sketches[r].add(value)
+            series[r].record(float(completion[i]), value)
+    return sketches, series
+
+
 class TestObservedFeed:
     @pytest.fixture(scope="class")
     def report(self):
         return hedge_fleet()
+
+    @pytest.mark.parametrize("window_us", [5_000.0, 2_000.0, 130.0])
+    def test_feed_equals_the_per_request_loop(self, report, window_us):
+        feed = report.observed_latency(window_us=window_us)
+        sketches, series = observed_by_loop(report, window_us)
+        assert set(feed.sketches) == set(sketches)
+        for r in sketches:
+            assert feed.sketches[r].to_dict() == sketches[r].to_dict()
+            assert (feed.series[r].to_dict(include_sketch_state=True)
+                    == series[r].to_dict(include_sketch_state=True))
 
     def test_feed_matches_exact_quantiles(self, report):
         feed = report.observed_latency()
