@@ -10,10 +10,10 @@ Two invariants every future perf PR must preserve:
   (``Accelerator(observe=True, trace=True)``) must not change a single
   cycle or output bit (the PR-1 observability contract: telemetry
   observes the machine, it never steers it).  The same contract covers
-  the request-level :class:`~repro.obs.spans.SpanTracer`: attaching an
-  enabled tracer to the serving simulator or the graph executor must
-  leave latencies, modelled seconds, and outputs bit-identical, and a
-  *disabled* tracer must record nothing at all.
+  the graph executor's span tracer and the serving simulator's metric
+  registry: attaching them must leave modelled seconds, outputs and
+  latencies bit-identical.  The serving simulator records no spans;
+  its request waterfalls are drawn from the finished report.
 
 Every check is one :class:`Check` row of :data:`CHECKS`.  A row names a
 seeded *subject* (an FC or TBE kernel, a fuzzed graph, a serving or
@@ -51,7 +51,6 @@ from repro.obs.critical import (extract_critical_path, fleet_critical_path,
                                 serving_critical_path)
 from repro.obs.metrics import MetricRegistry
 from repro.obs.sketch import QuantileSketch
-from repro.obs.spans import SpanTracer
 from repro.runtime.executor import GraphExecutor
 from repro.serving.fleet import (ROUTING_POLICIES, FleetConfig, RouterConfig,
                                  TabularLatencyModel, simulate_fleet,
@@ -59,8 +58,9 @@ from repro.serving.fleet import (ROUTING_POLICIES, FleetConfig, RouterConfig,
 from repro.serving.resilience import ResilienceConfig
 from repro.serving.simulator import (STATUS_SERVED, BatchingConfig,
                                      simulate_serving)
-from repro.serving.telemetry import ServingTelemetry
+from repro.serving.telemetry import ServingTelemetry, emit_exemplar_spans
 from repro.serving.traffic import trace_preset
+from repro.sim.trace import Tracer
 
 
 @dataclass
@@ -405,28 +405,26 @@ OBSERVE = _knobs("metrics/tracing", observe=True, trace=True)
 JOBS_2 = _knobs("jobs=2", jobs=2)
 EMPTY_FAULT_PLAN = _fresh("an empty fault plan", faults=_empty_fault_plan)
 SPANS_AND_METRICS = _fresh("spans and metrics", registry=MetricRegistry,
-                           spans=partial(SpanTracer, enabled=True))
+                           spans=partial(Tracer, enabled=True))
+METRICS = _fresh("metrics", registry=MetricRegistry)
 
 
 # -- invariants: subject -> violations -------------------------------------
 
-def _tracer_records(run: Callable, enabled: bool) -> Callable:
-    """Invariant: an enabled span tracer records spans, a disabled one
-    records nothing."""
-    def check(subject) -> List[str]:
-        spans = SpanTracer(enabled=enabled)
-        run(subject, spans=spans)
-        if bool(spans.spans) == enabled:
-            return []
-        return [f"{'en' if enabled else 'dis'}abled span tracer recorded "
-                f"{len(spans.spans)} spans"]
-    return check
+def _graph_tracer_records(case) -> List[str]:
+    """Invariant: an enabled span tracer records the graph's spans."""
+    spans = Tracer(enabled=True)
+    _graph(case, spans=spans)
+    return [] if spans.spans else ["enabled span tracer recorded 0 spans"]
 
 
 def _traced_requests_name_their_batch(s: _Serving) -> List[str]:
-    spans = SpanTracer(enabled=True)
-    traced = _serve_report(s, spans=spans, registry=MetricRegistry(),
+    """Waterfalls drawn from a resilient run's report name the batch
+    that served each request."""
+    traced = _serve_report(s, registry=MetricRegistry(),
                            resilience=s.resilient)
+    spans = Tracer(enabled=True)
+    emit_exemplar_spans(traced, range(traced.latencies_us.size), spans)
     requests = [span for span in spans.spans if span.name.startswith("req")]
     if not requests and traced.served_mask.any():
         return ["resilient run traced no served request"]
@@ -621,21 +619,14 @@ CHECKS = (
           "the executor is a pure function of the graph"),
     Check("graph", "determinism", "graph", _graph, SPANS_AND_METRICS,
           "per-op spans and metrics never steer the executor"),
-    Check("graph", "determinism", "graph", _tracer_records(_graph, True),
-          None, "an enabled tracer really traces"),
+    Check("graph", "determinism", "graph", _graph_tracer_records, None,
+          "an enabled tracer really traces"),
     Check("serving", "determinism", "serving", _serve, REPLAY,
           "the batching loop is a pure function of its seed"),
-    Check("serving", "determinism", "serving", _serve, SPANS_AND_METRICS,
-          "request spans and metrics never steer the batching loop"),
-    Check("serving", "determinism", "serving", _serve,
-          _fresh("a disabled span tracer",
-                 spans=partial(SpanTracer, enabled=False)),
-          "a disabled tracer changes nothing"),
-    Check("serving", "determinism", "serving", _tracer_records(_serve, False),
-          None, "a disabled tracer costs nothing"),
-    Check("serving", "determinism", "serving", _serve_resilient,
-          SPANS_AND_METRICS,
-          "spans stay no-ops under deadlines, retries and shedding"),
+    Check("serving", "determinism", "serving", _serve, METRICS,
+          "metrics never steer the batching loop"),
+    Check("serving", "determinism", "serving", _serve_resilient, METRICS,
+          "metrics stay no-ops under deadlines, retries and shedding"),
     Check("serving", "determinism", "serving",
           _traced_requests_name_their_batch, None,
           "every traced request belongs to the batch that served it"),

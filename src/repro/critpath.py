@@ -36,7 +36,7 @@ from repro.obs.critical import CriticalPath, extract_critical_path
 from repro.obs.whatif import (RESOURCE_SCALINGS, project_whatif,
                               scaled_chip_config)
 from repro.parallel import parallel_map
-from repro.profile import WORKLOADS, resolve_workload
+from repro.profile import WORKLOADS, bounded, resolve_workload
 
 #: pinned schema for the JSON report (CI golden-pins it)
 SCHEMA_VERSION = 1
@@ -183,35 +183,28 @@ def build_critical_chrome_trace(acc: Accelerator,
                                 path: CriticalPath) -> dict:
     """The cycle-level trace plus the critical path as its own track.
 
-    Condensed critical segments land on a ``critical.path`` thread
-    (process ``critical``); consecutive segments chain flow arrows, and
-    each segment also points into the first hardware span that starts
-    inside it — the activity its critical time is attributed to.
+    Condensed critical segments are recorded into the accelerator's own
+    tracer on a ``critical.path`` thread (process ``critical``);
+    consecutive segments chain flow arrows, and each segment also
+    points into the first hardware span that starts inside it — the
+    activity its critical time is attributed to.
     """
-    from repro.obs.spans import SpanTracer, merge_chrome_traces
-
-    to_us = 1.0 / (acc.config.frequency_ghz * 1e3)
-    spans = SpanTracer(enabled=True)
-    hw_spans = sorted(enumerate(acc.tracer.spans),
-                      key=lambda pair: (pair[1].start, pair[0]))
-    recorded = []
-    for seg in path.condensed():
-        span = spans.add("critical.path", f"{seg.resource}:{seg.label}",
-                         seg.start * to_us, seg.end * to_us,
-                         pid="critical", resource=seg.resource,
-                         kind=seg.kind, cycles=seg.duration)
-        recorded.append((seg, span))
+    tracer = acc.tracer
+    hw_spans = sorted(tracer.spans, key=lambda span: span.start)
+    recorded = [(seg, tracer.record("critical.path",
+                                    f"{seg.resource}:{seg.label}",
+                                    seg.start, seg.end, pid="critical",
+                                    resource=seg.resource, kind=seg.kind,
+                                    cycles=seg.duration))
+                for seg in path.condensed()]
     for (_, src), (_, dst) in zip(recorded, recorded[1:]):
-        spans.link(src, dst)
+        tracer.link(src, dst)
     for seg, span in recorded:
-        for index, hw in hw_spans:
+        for hw in hw_spans:
             if seg.start <= hw.start < seg.end:
-                fid = spans.link(span)
-                acc.tracer.mark_flow_in(fid, index=index)
+                tracer.link(span, hw)
                 break
-    return merge_chrome_traces(
-        acc.tracer.to_chrome_trace(acc.config.frequency_ghz),
-        spans.to_chrome_trace())
+    return tracer.to_chrome_trace(acc.config.frequency_ghz)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +223,7 @@ def main(argv: Optional[list] = None) -> int:
                         default="text", help="report format")
     parser.add_argument("--output", "-o", default=None,
                         help="write to this file instead of stdout")
-    parser.add_argument("--top", type=int, default=10,
+    parser.add_argument("--top", type=bounded(int, 0), default=10,
                         help="resources/segments shown in the text report")
     parser.add_argument("--whatif", action="append", default=[],
                         metavar="RESOURCE=FACTOR",

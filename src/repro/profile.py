@@ -13,13 +13,15 @@ Workloads may be named directly (``quickstart``/``fc``/``tbe``/``bmm``)
 or given as a path to one of the example scripts, which is mapped to
 the equivalent workload by basename.  ``--format chrome`` writes a
 Chrome trace-event file (load in ``chrome://tracing`` / Perfetto)
-instead of the report.
+instead of the report; with ``--critical`` the trace also carries the
+critical path on its own track.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import Dict, Optional, Tuple
@@ -102,6 +104,20 @@ def resolve_workload(spec: str) -> str:
                      "or a path to an example script")
 
 
+def bounded(kind, low, strict: bool = False):
+    """An argparse ``type``: ``kind(text)``, rejected unless it is
+    finite and ``>= low`` (``> low`` when ``strict``)."""
+    def parse(text: str):
+        value = kind(text)
+        if not (math.isfinite(value)
+                and (value > low if strict else value >= low)):
+            raise argparse.ArgumentTypeError(
+                f"must be finite and {'>' if strict else '>='} {low}, "
+                f"got {text!r}")
+        return value
+    return parse
+
+
 def profile_workload(name: str, record_edges: bool = False
                      ) -> Tuple[BottleneckReport, Accelerator]:
     """Run one named workload under the profiler; returns the report.
@@ -129,7 +145,7 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--output", "-o", default=None,
                         help="write to this file instead of stdout "
                         "(required for --format chrome)")
-    parser.add_argument("--top", type=int, default=10,
+    parser.add_argument("--top", type=bounded(int, 0), default=10,
                         help="tracks/operations shown in the text report")
     parser.add_argument("--critical", action="store_true",
                         help="record causal edges and attach the "
@@ -145,7 +161,12 @@ def main(argv: Optional[list] = None) -> int:
 
     if args.format == "chrome":
         path = args.output or f"{name}.trace.json"
-        acc.save_trace(path)
+        if critical is None:
+            acc.save_trace(path)
+        else:
+            from repro.critpath import build_critical_chrome_trace
+            with open(path, "w") as fh:
+                json.dump(build_critical_chrome_trace(acc, critical), fh)
         print(f"wrote Chrome trace to {path} "
               f"({len(acc.tracer.spans)} spans); open in chrome://tracing")
         return 0

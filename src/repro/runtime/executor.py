@@ -62,9 +62,9 @@ class GraphExecutor:
         #: optional repro.obs MetricRegistry; per-op timing spans land
         #: here (falls back to the opt-in process default registry)
         self.registry = registry
-        #: optional repro.obs.spans.SpanTracer; each run() records a
-        #: graph_execute span with per-op children, attached under
-        #: whatever span is currently open (a serving batch span, say)
+        #: optional microsecond :class:`~repro.sim.trace.Tracer`; each
+        #: run() records a graph_execute span with per-op children,
+        #: under whatever span is currently open (a serving batch span)
         self.spans = spans
         #: optional :class:`~repro.simcache.graph.GraphOpCache`; when
         #: set (explicitly or via ``REPRO_GRAPH_CACHE``), per-operator
@@ -183,7 +183,7 @@ class GraphExecutor:
         if self.spans is None or not self.spans.enabled:
             return
         parent = self.spans.current
-        base = parent.start_us if parent is not None else 0.0
+        base = parent.start if parent is not None else 0.0
         record_graph_spans(self.spans, estimate, base_us=base,
                            pid=parent.pid if parent is not None else "")
 
@@ -208,7 +208,7 @@ def record_graph_spans(spans, estimate, base_us: float = 0.0,
         t = base_us
         for op in estimate.estimates:
             op_us = op.seconds * 1e6
-            spans.add("executor.ops", op.name, t, t + op_us, pid=pid,
-                      category=op.category, bound=op.bound)
+            spans.record("executor.ops", op.name, t, t + op_us, pid=pid,
+                         category=op.category, bound=op.bound)
             t += op_us
     return root

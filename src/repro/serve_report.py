@@ -296,44 +296,35 @@ def build_chrome_trace(report: ServeReport,
                        latency_model: BatchLatencyModel) -> dict:
     """One merged trace: request waterfall → batch → ops → sim cycles.
 
-    Re-simulates the same seed with span tracing restricted to the two
-    exemplar batches (determinism makes the replay bit-identical), then
-    lays each exemplar's modelled per-op execution and a cycle-level
-    simulated execution into the batch's dispatch window, flow-linked:
-    request → batch → graph_execute, batch → first sim span.
-
-    The telemetry layer's slowest-k exemplar requests additionally get
-    their request waterfalls reconstructed post-hoc
-    (:func:`~repro.serving.telemetry.emit_exemplar_spans`) — the tail
-    requests appear on the timeline without tracing every request.
+    Draws waterfalls from ``report.serving`` after the run
+    (:func:`~repro.serving.telemetry.emit_exemplar_spans`): the first 8
+    requests of each exemplar batch plus the telemetry layer's
+    slowest-k exemplar requests, so the tail appears on the timeline
+    without tracing every request.  Each exemplar batch then gets its
+    modelled per-op execution and a cycle-level simulated execution
+    laid into its dispatch window, flow-linked: request → batch →
+    graph_execute, batch → first sim span.
     """
     import numpy as np
 
-    from repro.obs.spans import SpanTracer, merge_chrome_traces
     from repro.runtime.executor import record_graph_spans
+    from repro.sim.trace import Tracer, chrome_trace
 
+    serving = report.serving
     exemplars = report.tail.exemplar_batches
-    spans = SpanTracer(enabled=True)
-    replay = simulate_serving(
-        latency_model, report.qps, report.batching,
-        num_requests=report.num_requests, seed=report.seed,
-        spans=spans, trace_batches=set(exemplars.values()))
+    drawn = [int(r) for k in exemplars.values()
+             for r in np.flatnonzero(serving.batch_index == k)[:8]]
     if report.telemetry is not None:
-        # Slowest-k waterfalls, skipping requests the batch-exemplar
-        # tracing above already drew (first 8 members per traced batch).
-        traced = set()
-        for k in exemplars.values():
-            members = np.flatnonzero(replay.batch_index == k)[:8]
-            traced.update(int(m) for m in members)
-        slow = [rid for rep, rid in report.telemetry.exemplars.slowest_ids()
-                if rep == 0 and rid not in traced]
-        emit_exemplar_spans(replay, slow, spans)
-    sim_traces: List[dict] = []
-    for cohort, k in sorted(exemplars.items()):
-        batch = replay.batches[k]
+        drawn += [rid for rep, rid
+                  in report.telemetry.exemplars.slowest_ids() if rep == 0]
+    spans = Tracer(enabled=True)
+    emit_exemplar_spans(serving, drawn, spans)
+    layers = [spans]
+    for _, k in sorted(exemplars.items()):
         batch_spans = spans.find(f"batch{k}")
         if not batch_spans:
             continue
+        batch = serving.batches[k]
         batch_span = batch_spans[-1]
         # Modelled per-op execution inside the batch window.
         with spans.attach(batch_span):
@@ -345,11 +336,10 @@ def build_chrome_trace(report: ServeReport,
         # Cycle-level exemplar, shifted into the dispatch window and
         # flow-linked from the batch span to its first sim span.
         _, acc = _profile_exemplar(batch.size, f"batch{k}.sim")
-        fid = spans.link(batch_span)
-        acc.tracer.mark_flow_in(fid)
-        sim_traces.append(acc.tracer.to_chrome_trace(
-            acc.config.frequency_ghz, ts_offset_us=batch.dispatch_us))
-    return merge_chrome_traces(spans.to_chrome_trace(), *sim_traces)
+        spans.link(batch_span, acc.tracer.spans[0])
+        layers.append((acc.tracer, 1.0 / (acc.config.frequency_ghz * 1e3),
+                       batch.dispatch_us))
+    return chrome_trace(*layers)
 
 
 def tail_critical_paths(report, k: int = 8) -> List[Dict]:
@@ -582,10 +572,10 @@ def build_fleet_chrome_trace(fleet_report, max_requests: int = 32) -> dict:
     """
     import numpy as np
 
-    from repro.obs.spans import SpanTracer
     from repro.serving.simulator import STATUS_SERVED
+    from repro.sim.trace import Tracer, chrome_trace
 
-    spans = SpanTracer(enabled=True)
+    spans = Tracer(enabled=True)
     report = fleet_report
     served = np.flatnonzero(report.status == STATUS_SERVED)
     slowest = served[np.argsort(report.latencies_us[served],
@@ -604,7 +594,7 @@ def build_fleet_chrome_trace(fleet_report, max_requests: int = 32) -> dict:
         b = int(local.batch_index[pos])
         route_end = arrival + float(report.route_overhead_us[i])
         track = f"request.{i}"
-        router_span = spans.add(
+        router_span = spans.record(
             "router", f"route req{i}", arrival, route_end,
             pid="fleet.router", policy=report.config.router.policy,
             primary=int(report.assigned[i]),
@@ -618,8 +608,8 @@ def build_fleet_chrome_trace(fleet_report, max_requests: int = 32) -> dict:
                           "retry_overhead", "execute"):
                 width = float(getattr(report, f"{phase}_us")[i])
                 if width > 0:
-                    spans.add(track, phase, t, t + width,
-                              pid="fleet.requests")
+                    spans.record(track, phase, t, t + width,
+                                 pid="fleet.requests")
                     t += width
         spans.link(router_span, req)
         if 0 <= b < len(local.batches):
@@ -627,35 +617,38 @@ def build_fleet_chrome_trace(fleet_report, max_requests: int = 32) -> dict:
             key = (r, b)
             if key not in drawn_batches:
                 drawn_batches.add(key)
-                batch_span = spans.add(
+                batch_span = spans.record(
                     f"replica{r}.device", f"r{r}.batch{b}",
                     batch.dispatch_us, batch.finish_us,
                     pid=f"fleet.replica{r}", size=batch.size)
             else:
                 batch_span = spans.find(f"r{r}.batch{b}")[-1]
             spans.link(req, batch_span)
-    return spans.to_chrome_trace()
+    return chrome_trace(spans)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    from repro.profile import bounded
+
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve_report",
         description="Request-level serving observability report.")
     parser.add_argument("workload", nargs="?", default="quickstart",
                         help="workload name (%s)"
                         % "/".join(sorted(WORKLOADS)))
-    parser.add_argument("--qps", type=float, default=None,
+    parser.add_argument("--qps", type=bounded(float, 0, strict=True),
+                        default=None,
                         help="offered load (default: workload preset)")
     parser.add_argument("--sla-us", type=float, default=None,
                         help="latency SLA in us (default: preset)")
-    parser.add_argument("--requests", type=int, default=None,
+    parser.add_argument("--requests", type=bounded(int, 0), default=None,
                         help="number of simulated requests")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--availability", type=float, default=0.999,
                         help="SLO availability target (default 0.999)")
     parser.add_argument("--window-us", type=float, default=50_000.0,
                         help="rolling SLO window width")
-    parser.add_argument("--max-batch", type=int, default=256)
+    parser.add_argument("--max-batch", type=bounded(int, 1), default=256)
     parser.add_argument("--max-wait-us", type=float, default=200.0)
     parser.add_argument("--max-request-rows", type=int, default=100,
                         help="per-request rows in the JSON (0 = all)")
@@ -693,7 +686,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--critical", action="store_true",
                         help="attach exact critical paths for the "
                         "slowest served requests (tail exemplars)")
-    parser.add_argument("--critical-k", type=int, default=8,
+    parser.add_argument("--critical-k", type=bounded(int, 0), default=8,
                         help="how many tail requests --critical walks")
     args = parser.parse_args(argv)
 

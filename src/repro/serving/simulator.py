@@ -32,11 +32,9 @@ tail requests can be explained, not just counted — see
 
 ``queue_wait + batch_wait + retry_overhead + execute == latency``
 exactly, per request; for aborted requests the phases are truncated at
-the abort instant, so the identity holds for them too.  With a
-:class:`~repro.obs.spans.SpanTracer` attached, selected batches
-additionally emit a request-waterfall span tree (request → phase spans,
-flow-linked to the batch's device span) onto one Chrome/Perfetto
-timeline.
+the abort instant, so the identity holds for them too.  Request
+waterfalls are drawn from these arrays after the run
+(:func:`~repro.serving.telemetry.emit_exemplar_spans`).
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ import heapq
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -336,9 +334,6 @@ def simulate_serving(latency_model: Callable[[int], float],
                      num_requests: int = 5000,
                      seed: int = 0,
                      registry=None,
-                     spans=None,
-                     trace_batches: Optional[Set[int]] = None,
-                     trace_requests_per_batch: int = 8,
                      collect_telemetry: bool = False,
                      replica: int = 0,
                      arrivals: Optional[np.ndarray] = None,
@@ -370,14 +365,6 @@ def simulate_serving(latency_model: Callable[[int], float],
     batch-size/occupancy histograms, queue-depth samples, outcome
     counts, and a device-busy-fraction gauge.
 
-    ``spans`` is an optional :class:`~repro.obs.spans.SpanTracer`; when
-    enabled, batches in ``trace_batches`` (default: all) emit a device
-    span plus per-request waterfalls (the first
-    ``trace_requests_per_batch`` members the batch served),
-    flow-linked request → batch.  Tracing never alters the simulation:
-    results are bit-identical with spans on or off (the conformance
-    determinism pillar checks this).
-
     ``collect_telemetry=True`` attaches a
     :class:`~repro.serving.telemetry.ServingTelemetry` (quantile
     sketches, windowed series, tail exemplars tagged ``replica``) to
@@ -391,7 +378,6 @@ def simulate_serving(latency_model: Callable[[int], float],
     cfg = resilience
     arrivals, qps = resolve_arrivals(qps, num_requests, seed, arrivals)
     n = int(arrivals.size)
-    tracing = spans is not None and spans.enabled
     deadline = cfg.deadline_us
     max_batch = batching.max_batch
 
@@ -665,12 +651,6 @@ def simulate_serving(latency_model: Callable[[int], float],
             index=k, size=size, first_arrival_us=first_t,
             ready_us=float(ready), dispatch_us=float(start),
             finish_us=float(finish), queue_depth=depth))
-        if tracing and (trace_batches is None or k in trace_batches):
-            traced = sorted(held + originals(
-                lo, min(hi, lo + trace_requests_per_batch)))
-            _trace_batch(spans, k, size, times,
-                         traced[:trace_requests_per_batch],
-                         ready, start, finish)
 
     del times
     runs.fill(arrivals, latencies, batch_wait, queue_wait, execute,
@@ -747,36 +727,6 @@ class _ServedRuns:
         queue_wait[rows] = start - np.maximum(arr, ready)
         execute[rows] = exec_us
         batch_index[rows] = np.repeat(k, counts)
-
-
-def _trace_batch(spans, k: int, batch: int, times: List[float],
-                 members: List[_Attempt], ready: float, dispatch_at: float,
-                 finish: float) -> None:
-    """Emit the request-waterfall span tree for one traced batch."""
-    flow_ids = []
-    for t, _seq, r, _attempt in members:
-        arrival = times[r]
-        track = f"request.{r}"
-        with spans.span(track, f"req{r}", arrival, finish,
-                        pid="serving.requests", batch=k,
-                        batch_size=batch) as req:
-            if t > arrival:
-                spans.add(track, "retry_overhead", arrival, t,
-                          pid="serving.requests")
-            boundary = max(t, min(ready, dispatch_at))
-            if boundary > t:
-                spans.add(track, "batch_wait", t, boundary,
-                          pid="serving.requests")
-            if dispatch_at > boundary:
-                spans.add(track, "queue_wait", boundary, dispatch_at,
-                          pid="serving.requests")
-            spans.add(track, "execute", dispatch_at, finish,
-                      pid="serving.requests")
-        fid = spans.link(req)
-        if fid is not None:
-            flow_ids.append(fid)
-    spans.add("serving.device", f"batch{k}", dispatch_at, finish,
-              pid="serving", size=batch, flow_in=tuple(flow_ids))
 
 
 def _record_metrics(registry, report: ServingReport,

@@ -323,33 +323,23 @@ class ServingTelemetry:
 
 def emit_exemplar_spans(report: ServingReport,
                         request_ids: Iterable[int],
-                        spans,
-                        track_prefix: str = "exemplar.") -> List[int]:
-    """Reconstruct request-waterfall span trees for chosen requests.
+                        spans) -> List[int]:
+    """Draw request-waterfall span trees for chosen served requests.
 
-    Produces, post-hoc and per request, exactly the span structure the
-    simulator's live tracer emits (request span with batch_wait /
-    queue_wait / execute children, flow-linked to a device batch span)
-    — every input is already in the report's per-request arrays and
-    :class:`BatchRecord` list.  This is what makes tail-biased tracing
-    honest: the slowest-k exemplars get the *same* waterfall a full
-    trace would have drawn, verified against PR 3's tracer in the
-    tests.  Returns the request ids actually emitted (sorted).
-
-    ``track_prefix`` namespaces the reconstructed rows (tracks
-    ``{prefix}request.N`` / ``{prefix}device`` under the
-    ``serving.exemplars`` process) so a merged Chrome trace keeps them
-    visually and programmatically distinct from the live tracer's
-    ``request.N`` rows — identical track ids previously interleaved
-    both span sets on one row.  Pass ``""`` to reproduce the live
-    tracer's naming exactly (the equivalence test does).
+    The one waterfall builder: the engine records no spans, and every
+    input is already in the report's per-request arrays and
+    :class:`BatchRecord` list.  Each request gets a ``req{r}`` span on
+    track ``request.{r}`` with ``retry_overhead`` / ``batch_wait`` /
+    ``queue_wait`` / ``execute`` children that tile its latency, and a
+    flow arrow into its batch's device span on ``serving.device``.
+    Tail-biased tracing is therefore honest: the slowest-k exemplars
+    get the same waterfall a full trace would draw.  Ids that are out
+    of range or were not served are skipped; returns the ids drawn
+    (sorted).
     """
     if spans is None or not spans.enabled:
         return []
-    pid = "serving.exemplars" if track_prefix else "serving.requests"
-    device_pid = "serving.exemplars" if track_prefix else "serving"
-    device_track = (f"{track_prefix}device" if track_prefix
-                    else "serving.device")
+    pid = "serving.requests"
     emitted: List[int] = []
     by_batch: Dict[int, List[int]] = {}
     for r in sorted(set(int(r) for r in request_ids)):
@@ -364,25 +354,23 @@ def emit_exemplar_spans(report: ServingReport,
         flow_ids = []
         for r in by_batch[b]:
             arrival = float(report.arrivals_us[r])
-            track = f"{track_prefix}request.{r}"
+            enqueued = arrival + float(report.retry_overhead_us[r])
+            boundary = max(enqueued, min(batch.ready_us, batch.dispatch_us))
+            track = f"request.{r}"
             with spans.span(track, f"req{r}", arrival, batch.finish_us,
                             pid=pid, batch=b,
                             batch_size=batch.size) as req:
-                boundary = max(arrival,
-                               min(batch.ready_us, batch.dispatch_us))
-                if boundary > arrival:
-                    spans.add(track, "batch_wait", arrival, boundary,
-                              pid=pid)
-                if batch.dispatch_us > boundary:
-                    spans.add(track, "queue_wait", boundary,
-                              batch.dispatch_us, pid=pid)
-                spans.add(track, "execute", batch.dispatch_us,
-                          batch.finish_us, pid=pid)
-            fid = spans.link(req)
-            if fid is not None:
-                flow_ids.append(fid)
+                for phase, start, end in (
+                        ("retry_overhead", arrival, enqueued),
+                        ("batch_wait", enqueued, boundary),
+                        ("queue_wait", boundary, batch.dispatch_us)):
+                    if end > start:
+                        spans.record(track, phase, start, end, pid=pid)
+                spans.record(track, "execute", batch.dispatch_us,
+                             batch.finish_us, pid=pid)
+            flow_ids.append(spans.link(req))
             emitted.append(r)
-        spans.add(device_track, f"batch{b}", batch.dispatch_us,
-                  batch.finish_us, pid=device_pid, size=batch.size,
-                  flow_in=tuple(flow_ids))
-    return emitted
+        spans.record("serving.device", f"batch{b}", batch.dispatch_us,
+                     batch.finish_us, pid="serving", size=batch.size,
+                     flow_in=tuple(flow_ids))
+    return sorted(emitted)

@@ -5,8 +5,8 @@ scalars of a small seeded grid are hashed with SHA-256 and compared
 against digests recorded before the plain and resilient batching loops
 were folded into one engine.  The grid crosses four resilience
 configurations with three fault plans, two offered loads and two
-batching windows; a second set runs the default configuration with
-request-waterfall spans on, so the span trees are pinned too.
+batching windows; a second set draws request waterfalls from the
+reports of default-configuration runs, so the span trees are pinned too.
 
 Two larger sets reach long served runs: the ``serving_ladder`` benchmark
 shape (50 000 requests, ``max_batch`` 128, at its four offered loads
@@ -30,8 +30,9 @@ import pytest
 
 from repro.faults import FaultInjector, FaultPlan, FaultProfile
 from repro.obs.metrics import MetricRegistry
-from repro.obs.spans import SpanTracer
 from repro.serving import BatchingConfig, ResilienceConfig, simulate_serving
+from repro.serving.telemetry import emit_exemplar_spans
+from repro.sim.trace import Tracer
 from tests.serving.test_telemetry_pin import fleet_report
 
 REQUESTS = 300
@@ -50,7 +51,8 @@ QPS = (20_000.0, 80_000.0)
 BATCHING = {"b4": BatchingConfig(max_batch=4, max_wait_us=200.0),
             "b32": BatchingConfig(max_batch=32, max_wait_us=100.0)}
 
-#: (qps, batching, trace_batches) of the span-traced default runs
+#: (qps, batching, drawn batches or None for all) of the waterfall runs;
+#: each drawn batch contributes its first 5 served requests
 TRACED = {
     "q20k-b16": (20_000.0, BatchingConfig(16, 100.0), None),
     "q200k-b16": (200_000.0, BatchingConfig(16, 100.0), None),
@@ -113,7 +115,7 @@ def _digest(report, arrays, spans=None) -> str:
     }).encode())
     if spans is not None:
         h.update(json.dumps([
-            [s.span_id, s.parent_id, s.track, s.name, s.start_us, s.end_us,
+            [s.span_id, s.parent_id, s.track, s.name, s.start, s.end,
              sorted(s.args.items()), s.pid, list(s.flow_out),
              list(s.flow_in)] for s in spans.spans]).encode())
     return h.hexdigest()[:16]
@@ -129,11 +131,15 @@ def run_case(key: str, engine=simulate_serving) -> str:
 
 
 def run_traced(key: str, engine=simulate_serving) -> str:
-    qps, batching, trace_batches = TRACED[key]
-    spans = SpanTracer(enabled=True)
+    qps, batching, drawn = TRACED[key]
     report = engine(latency_model, qps, batching, num_requests=REQUESTS,
-                    seed=17, registry=MetricRegistry(), spans=spans,
-                    trace_batches=trace_batches, trace_requests_per_batch=5)
+                    seed=17, registry=MetricRegistry())
+    if drawn is None:
+        drawn = range(len(report.batches))
+    spans = Tracer(enabled=True)
+    emit_exemplar_spans(report, [
+        r for k in drawn for r in np.flatnonzero(report.batch_index == k)[:5]
+    ], spans)
     return _digest(report, TRACED_ARRAYS, spans)
 
 

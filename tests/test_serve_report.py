@@ -106,15 +106,14 @@ class TestServeReport:
         report, model = run_serve_report("quickstart", num_requests=300,
                                          exemplars=False)
         trace = build_chrome_trace(report, model)
-        tracks = {e["tid"] for e in trace["traceEvents"]
-                  if e.get("ph") == "X"}
-        # Slowest-k waterfalls land on the namespaced exemplar tracks;
-        # requests the batch-exemplar tracing already drew live keep
-        # their plain request.N rows (and are skipped post-hoc).
+        xs = [e for e in trace["traceEvents"] if e.get("ph") == "X"]
+        tracks = {e["tid"] for e in xs}
+        # Slowest-k waterfalls come from the same builder as the
+        # exemplar batches' members: one request.N row each, drawn once
+        # even when the request also sits in an exemplar batch.
         for _rep, rid in report.telemetry.exemplars.slowest_ids():
-            assert (f"exemplar.request.{rid}" in tracks
-                    or f"request.{rid}" in tracks)
-        assert any(t.startswith("exemplar.request.") for t in tracks)
+            assert f"request.{rid}" in tracks
+            assert sum(e["name"] == f"req{rid}" for e in xs) == 1
 
     def test_cli_text_json_and_chrome(self, tmp_path, capsys):
         assert main(["quickstart", "--requests", "400",
