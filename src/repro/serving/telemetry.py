@@ -340,7 +340,6 @@ def emit_exemplar_spans(report: ServingReport,
     if spans is None or not spans.enabled:
         return []
     pid = "serving.requests"
-    emitted: List[int] = []
     by_batch: Dict[int, List[int]] = {}
     for r in sorted(set(int(r) for r in request_ids)):
         if r < 0 or r >= report.latencies_us.size:
@@ -369,8 +368,7 @@ def emit_exemplar_spans(report: ServingReport,
                 spans.record(track, "execute", batch.dispatch_us,
                              batch.finish_us, pid=pid)
             flow_ids.append(spans.link(req))
-            emitted.append(r)
         spans.record("serving.device", f"batch{b}", batch.dispatch_us,
                      batch.finish_us, pid="serving", size=batch.size,
                      flow_in=tuple(flow_ids))
-    return sorted(emitted)
+    return sorted(r for rs in by_batch.values() for r in rs)
