@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Dict, List, Optional, Tuple
 
@@ -70,20 +71,21 @@ def _resim_job(task: Tuple[str, str, float]) -> float:
 
 
 def parse_whatif_spec(spec: str) -> Tuple[str, float]:
-    """Parse ``RESOURCE=FACTOR`` (e.g. ``dram=1.2``)."""
+    """Parse ``RESOURCE=FACTOR`` (e.g. ``dram=1.2``); a bad spec exits
+    with a message that ``main`` reports as a ``--whatif`` usage error."""
     resource, sep, raw = spec.partition("=")
     known = ", ".join(sorted(RESOURCE_SCALINGS))
     if not sep:
-        raise SystemExit(f"--whatif takes RESOURCE=FACTOR (resources: "
-                         f"{known}), got {spec!r}")
+        raise SystemExit(
+            f"must be RESOURCE=FACTOR (resources: {known}), got {spec!r}")
     if resource not in RESOURCE_SCALINGS:
-        raise SystemExit(f"unknown resource {resource!r}; one of {known}")
+        raise SystemExit(f"must be one of {known}, got resource {resource!r}")
     try:
         factor = float(raw)
     except ValueError:
-        raise SystemExit(f"bad scale factor {raw!r} in {spec!r}")
-    if factor <= 0:
-        raise SystemExit(f"scale factor must be positive, got {factor}")
+        raise SystemExit(f"must be a number, got factor {raw!r}")
+    if not (math.isfinite(factor) and factor > 0):
+        raise SystemExit(f"must be finite and > 0, got factor {raw!r}")
     return resource, factor
 
 
@@ -238,7 +240,10 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
 
     name = resolve_workload(args.workload)
-    specs = [parse_whatif_spec(spec) for spec in args.whatif]
+    try:
+        specs = [parse_whatif_spec(spec) for spec in args.whatif]
+    except SystemExit as exc:
+        parser.error(f"argument --whatif: {exc}")
 
     if args.format == "chrome":
         acc, _ = run_workload_with_edges(name, trace=True)

@@ -27,7 +27,12 @@ Three layers:
   simulators from their exact per-request arrays.  ``path.total`` is
   computed with the *same* float operations the simulator used to
   store ``latencies_us``, so ``path.total == latencies_us[r]`` holds
-  bit-for-bit under every routing policy and fault plan.
+  bit-for-bit under every routing policy and fault plan.  These two
+  own the request-phase layout: a segment's ``kind`` is the report's
+  phase name, in the order the phases tile a request (``route_overhead``,
+  ``hedge_wait``, ``retry_overhead``, ``batch_wait``, ``queue_wait``,
+  ``execute``), and :func:`record_request_spans` draws every request
+  waterfall from them.
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 __all__ = ["EdgeRecorder", "Segment", "CriticalPath", "CriticalPathError",
            "classify_label", "extract_critical_path",
            "serving_critical_path", "fleet_critical_path",
-           "slowest_critical_paths"]
+           "slowest_critical_paths", "record_request_spans"]
 
 
 class CriticalPathError(ValueError):
@@ -484,8 +489,8 @@ def serving_critical_path(report, r: int) -> CriticalPath:
         ready = float(batch.ready_us)
         t1 = min(max(arr + retry, arr), dispatch)
         t2 = min(max(t1, min(ready, dispatch)), dispatch)
-        segments.append(Segment(arr, t1, t1 - arr, "retry", "retry",
-                                "retry"))
+        segments.append(Segment(arr, t1, t1 - arr, "retry",
+                                "retry_overhead", "retry_overhead"))
         segments.append(Segment(t1, t2, t2 - t1, "batching",
                                 "batch_wait", "batch_wait"))
         segments.extend(_queue_segments(report, k, t2, dispatch))
@@ -501,8 +506,8 @@ def serving_critical_path(report, r: int) -> CriticalPath:
         t1 = min(max(arr + retry, arr), end)
         t2 = min(t1 + batch_wait, end)
         t3 = min(t2 + queue_wait, end)
-        segments.append(Segment(arr, t1, t1 - arr, "retry", "retry",
-                                "retry"))
+        segments.append(Segment(arr, t1, t1 - arr, "retry",
+                                "retry_overhead", "retry_overhead"))
         segments.append(Segment(t1, t2, t2 - t1, "batching",
                                 "batch_wait", "batch_wait"))
         segments.append(Segment(t2, t3, t3 - t2, "device.queue",
@@ -547,7 +552,8 @@ def fleet_critical_path(report, i: int) -> CriticalPath:
         raise CriticalPathError(
             f"fleet request {i}: router prefix ends at {t2!r} but the "
             f"local path starts at {local_path.start!r}")
-    segments = [Segment(arr, t1, t1 - arr, "router", "route", "route"),
+    segments = [Segment(arr, t1, t1 - arr, "router", "route_overhead",
+                        "route_overhead"),
                 Segment(t1, t2, t2 - t1, "hedge", "hedge_wait",
                         "hedge_wait")]
     segments.extend(local_path.segments)
@@ -587,3 +593,28 @@ def slowest_critical_paths(report, k: int = 8) -> List[CriticalPath]:
     extractor = (fleet_critical_path if hasattr(report, "per_replica")
                  else serving_critical_path)
     return [extractor(report, int(i)) for i in order.tolist()]
+
+
+def record_request_spans(spans, path: CriticalPath, track: str, name: str,
+                         pid: str, **args):
+    """Draw a request's path as a ``name`` span with one child per phase.
+
+    Consecutive segments of one ``kind`` merge into one child (the
+    head-of-line queue pieces become a single ``queue_wait``), and
+    zero-width phases are skipped except ``execute``, so the children
+    tile ``[path.start, path.end]`` in path order on the path's own
+    boundary floats.  Returns the request span (``None`` when
+    ``spans`` is disabled).
+    """
+    phases: List[List] = []
+    for seg in path.segments:
+        if phases and phases[-1][0] == seg.kind:
+            phases[-1][2] = seg.end
+        else:
+            phases.append([seg.kind, seg.start, seg.end])
+    with spans.span(track, name, path.start, path.end, pid=pid,
+                    **args) as request:
+        for kind, start, end in phases:
+            if end > start or kind == "execute":
+                spans.record(track, kind, start, end, pid=pid)
+    return request

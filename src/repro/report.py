@@ -150,14 +150,14 @@ def report_serving() -> None:
           f"(SLA {report.sla_us:g} us)")
     breakdown = s.breakdown_means()
     print("  mean request: "
-          + "  ".join(f"{phase} {breakdown[phase]:.0f} us"
-                      for phase in ("queue_wait", "batch_wait", "execute")))
+          + "  ".join(f"{phase} {mean_us:.0f} us"
+                      for phase, mean_us in breakdown.items()))
     print(f"  SLO: {report.slo.violations}/{report.slo.total} violations, "
           f"error-budget burn {report.slo.burn_rate:.2f}")
     tail = report.tail
-    for phase in ("queue_wait", "batch_wait", "execute"):
-        t, m = tail.phase_us["tail"][phase], tail.phase_us["median"][phase]
-        print(f"  tail-vs-median {phase:<11} {t:7.1f} vs {m:7.1f} us "
+    for phase, t in tail.phase_us["tail"].items():
+        m = tail.phase_us["median"][phase]
+        print(f"  tail-vs-median {phase:<14} {t:7.1f} vs {m:7.1f} us "
               f"({t - m:+.1f})")
 
 

@@ -139,11 +139,10 @@ class ServeReport:
             f"  p50 {s.percentile(50):8.1f} us   p95 "
             f"{s.percentile(95):8.1f} us   p99 {s.percentile(99):8.1f} us",
             "",
-            "== mean request breakdown (queue + batch + execute "
-            "== latency) ==",
+            "== mean request breakdown (the phases sum to latency) ==",
         ]
-        for phase in ("queue_wait", "batch_wait", "execute"):
-            lines.append(f"  {phase:<12}{breakdown[phase]:10.1f} us")
+        for phase, mean_us in breakdown.items():
+            lines.append(f"  {phase:<16}{mean_us:10.1f} us")
         lines.append("")
         lines.append(f"== SLO (p.. <= {self.sla_us:g} us at "
                      f"{100 * self.slo.availability_target:g} % "
@@ -564,66 +563,49 @@ def build_fleet_chrome_trace(fleet_report, max_requests: int = 32) -> dict:
     Draws the slowest ``max_requests`` served requests (the tail is
     what waterfalls are for) plus every hedge *winner*: a router span
     (policy + chosen replica), flow-linked to the request's phase
-    waterfall (route / hedge_wait / batch_wait / queue_wait / execute),
-    flow-linked in turn to the winning replica's device batch span.
-    Everything is reconstructed post-hoc from the fleet report's exact
-    per-request arrays — no per-request tracing overhead at simulation
-    time (PR 6's tail-exemplar discipline, fleet-wide).
+    waterfall (its verified
+    :func:`~repro.obs.critical.fleet_critical_path`, drawn by
+    :func:`~repro.obs.critical.record_request_spans`), flow-linked in
+    turn to the winning replica's device batch span.  Everything is
+    reconstructed post-hoc from the fleet report's exact per-request
+    arrays — no per-request tracing overhead at simulation time.
     """
     import numpy as np
 
-    from repro.serving.simulator import STATUS_SERVED
+    from repro.obs.critical import fleet_critical_path, record_request_spans
     from repro.sim.trace import Tracer, chrome_trace
 
     spans = Tracer(enabled=True)
     report = fleet_report
-    served = np.flatnonzero(report.status == STATUS_SERVED)
+    served = np.flatnonzero(report.served_mask)
     slowest = served[np.argsort(report.latencies_us[served],
                                 kind="stable")][::-1][:max_requests]
     winners = np.flatnonzero((report.hedge_wait_us > 0)
-                             & (report.status == STATUS_SERVED))
+                             & report.served_mask)
     chosen = sorted(set(int(i) for i in slowest)
                     | set(int(i) for i in winners[:max_requests]))
 
-    drawn_batches = set()
+    batch_spans = {}
     for i in chosen:
-        arrival = float(report.arrivals_us[i])
-        r = int(report.replica[i])
-        pos = int(report.replica_pos[i])
-        local = report.per_replica[r]
-        b = int(local.batch_index[pos])
-        route_end = arrival + float(report.route_overhead_us[i])
-        track = f"request.{i}"
+        path = fleet_critical_path(report, i)
+        r, b = path.attrs["replica"], path.attrs["batch"]
+        route = path.segments[0]        # every fleet path opens on the hop
         router_span = spans.record(
-            "router", f"route req{i}", arrival, route_end,
+            "router", f"route req{i}", route.start, route.end,
             pid="fleet.router", policy=report.config.router.policy,
             primary=int(report.assigned[i]),
             hedged=int(report.hedged[i]), winner=r)
-        finish = arrival + float(report.latencies_us[i])
-        with spans.span(track, f"req{i}", arrival, finish,
-                        pid="fleet.requests", replica=r, batch=b,
-                        hedge_won=bool(report.hedge_wait_us[i] > 0)) as req:
-            t = route_end
-            for phase in ("hedge_wait", "batch_wait", "queue_wait",
-                          "retry_overhead", "execute"):
-                width = float(getattr(report, f"{phase}_us")[i])
-                if width > 0:
-                    spans.record(track, phase, t, t + width,
-                                 pid="fleet.requests")
-                    t += width
+        req = record_request_spans(spans, path, f"request.{i}", f"req{i}",
+                                   "fleet.requests", replica=r, batch=b,
+                                   hedge_won=path.attrs["hedge_won"])
         spans.link(router_span, req)
-        if 0 <= b < len(local.batches):
-            batch = local.batches[b]
-            key = (r, b)
-            if key not in drawn_batches:
-                drawn_batches.add(key)
-                batch_span = spans.record(
-                    f"replica{r}.device", f"r{r}.batch{b}",
-                    batch.dispatch_us, batch.finish_us,
-                    pid=f"fleet.replica{r}", size=batch.size)
-            else:
-                batch_span = spans.find(f"r{r}.batch{b}")[-1]
-            spans.link(req, batch_span)
+        if (r, b) not in batch_spans:
+            batch = report.per_replica[r].batches[b]
+            batch_spans[r, b] = spans.record(
+                f"replica{r}.device", f"r{r}.batch{b}",
+                batch.dispatch_us, batch.finish_us,
+                pid=f"fleet.replica{r}", size=batch.size)
+        spans.link(req, batch_spans[r, b])
     return chrome_trace(spans)
 
 
@@ -639,23 +621,27 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--qps", type=bounded(float, 0, strict=True),
                         default=None,
                         help="offered load (default: workload preset)")
-    parser.add_argument("--sla-us", type=float, default=None,
+    parser.add_argument("--sla-us", type=bounded(float, 0, strict=True),
+                        default=None,
                         help="latency SLA in us (default: preset)")
     parser.add_argument("--requests", type=bounded(int, 0), default=None,
                         help="number of simulated requests")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--availability", type=float, default=0.999,
                         help="SLO availability target (default 0.999)")
-    parser.add_argument("--window-us", type=float, default=50_000.0,
+    parser.add_argument("--window-us", type=bounded(float, 0, strict=True),
+                        default=50_000.0,
                         help="rolling SLO window width")
     parser.add_argument("--max-batch", type=bounded(int, 1), default=256)
-    parser.add_argument("--max-wait-us", type=float, default=200.0)
-    parser.add_argument("--max-request-rows", type=int, default=100,
+    parser.add_argument("--max-wait-us", type=bounded(float, 0),
+                        default=200.0)
+    parser.add_argument("--max-request-rows", type=bounded(int, 0),
+                        default=100,
                         help="per-request rows in the JSON (0 = all)")
-    parser.add_argument("--replicas", type=int, default=1,
+    parser.add_argument("--replicas", type=bounded(int, 1), default=1,
                         help="fleet replicas; >1 adds satellite streams "
                         "that contribute bounded telemetry only")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=bounded(int, 1), default=1,
                         help="worker processes for satellite replicas")
     parser.add_argument("--no-exemplars", action="store_true",
                         help="skip the cycle-level exemplar profiles")
@@ -671,7 +657,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--trace-name", default="diurnal",
                         help="fleet traffic preset "
                         "(steady/diurnal/spike/flash_crowd)")
-    parser.add_argument("--duration-us", type=float, default=50_000.0,
+    parser.add_argument("--duration-us", type=bounded(float, 0, strict=True),
+                        default=50_000.0,
                         help="fleet trace span in simulated us")
     parser.add_argument("--policy", default="power_of_two",
                         help="fleet primary policy (full report + "
@@ -689,6 +676,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--critical-k", type=bounded(int, 0), default=8,
                         help="how many tail requests --critical walks")
     args = parser.parse_args(argv)
+    # the SLO monitor needs a budget (< 1); a fleet capacity floor may be 1
+    if not (0.0 < args.availability < 1.0
+            or args.fleet and args.availability == 1.0):
+        parser.error("argument --availability: must be in (0, 1) "
+                     f"((0, 1] with --fleet), got {args.availability!r}")
 
     if args.fleet:
         report, fleet_reports = run_fleet_report(

@@ -56,9 +56,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.serving.resilience import ResilienceConfig
-from repro.serving.simulator import (STATUS_SERVED, BatchingConfig,
-                                     OutcomeQueries, ServingReport,
-                                     simulate_serving)
+from repro.serving.simulator import (PHASES, STATUS_SERVED,
+                                     BatchingConfig, OutcomeQueries,
+                                     ServingReport, simulate_serving)
 from repro.serving.traffic import TrafficTrace
 
 __all__ = [
@@ -712,15 +712,8 @@ class FleetReport(OutcomeQueries):
     hedged_requests: int = 0
     hedge_wins: int = 0
 
-    def breakdown_means(self) -> Dict[str, float]:
-        """Mean microseconds per phase across served requests."""
-        mask = self.served_mask
-        out: Dict[str, float] = {}
-        for name in ("queue_wait", "batch_wait", "retry_overhead",
-                     "route_overhead", "hedge_wait", "execute"):
-            served = getattr(self, f"{name}_us")[mask]
-            out[name] = float(served.mean()) if served.size else 0.0
-        return out
+    #: the replica phases plus the router's two
+    phases = PHASES + ("route_overhead", "hedge_wait")
 
     # -- conservation ----------------------------------------------------
     def conservation(self) -> Dict:
@@ -1006,10 +999,7 @@ def simulate_fleet(latency_model, traffic, config: FleetConfig,
     hedge_wins = int(np.count_nonzero(use_hedge))
 
     latencies = np.zeros(n)
-    queue_wait = np.zeros(n)
-    batch_wait = np.zeros(n)
-    execute = np.zeros(n)
-    retry_overhead = np.zeros(n)
+    phases = {name: np.zeros(n) for name in PHASES}
     status = np.zeros(n, dtype=np.int8)
     route_overhead = np.full(n, route_us)
     hedge_wait = np.where(use_hedge, hedge_us, 0.0)
@@ -1023,10 +1013,8 @@ def simulate_fleet(latency_model, traffic, config: FleetConfig,
         winner_pos[mine] = pos
         latencies[mine] = (route_overhead[mine] + hedge_wait[mine]
                            + report.latencies_us[pos])
-        queue_wait[mine] = report.queue_wait_us[pos]
-        batch_wait[mine] = report.batch_wait_us[pos]
-        execute[mine] = report.execute_us[pos]
-        retry_overhead[mine] = report.retry_overhead_us[pos]
+        for name, values in phases.items():
+            values[mine] = getattr(report, f"{name}_us")[pos]
         status[mine] = report.status[pos]
 
     abort_us = np.where(status == STATUS_SERVED, np.nan,
@@ -1044,10 +1032,6 @@ def simulate_fleet(latency_model, traffic, config: FleetConfig,
         config=config,
         arrivals_us=arrivals,
         latencies_us=latencies,
-        queue_wait_us=queue_wait,
-        batch_wait_us=batch_wait,
-        execute_us=execute,
-        retry_overhead_us=retry_overhead,
         route_overhead_us=route_overhead,
         hedge_wait_us=hedge_wait,
         status=status,
@@ -1060,6 +1044,7 @@ def simulate_fleet(latency_model, traffic, config: FleetConfig,
         telemetry=telemetry,
         hedged_requests=decision.num_hedged,
         hedge_wins=hedge_wins,
+        **{f"{name}_us": values for name, values in phases.items()},
     )
 
 

@@ -114,6 +114,11 @@ STATUS_TIMEOUT = 2     #: missed its deadline, retry budget exhausted
 STATUS_FAILED = 3      #: lost to a card failure, retry budget exhausted
 STATUS_NAMES = ("served", "shed", "timeout", "failed")
 
+#: The request phases, each stored as a ``{phase}_us`` per-request array;
+#: they tile every request's latency (the attribution identity above).
+#: The order they tile a request in is :mod:`repro.obs.critical`'s.
+PHASES = ("queue_wait", "batch_wait", "execute", "retry_overhead")
+
 
 @dataclass
 class BatchRecord:
@@ -149,6 +154,9 @@ class OutcomeQueries:
     meaningful latency, and folding abort times into percentiles would
     let load shedding "improve" the p99.
     """
+
+    #: phases whose ``{phase}_us`` arrays :meth:`breakdown_means` averages
+    phases = PHASES
 
     @property
     def served_mask(self) -> np.ndarray:
@@ -186,6 +194,18 @@ class OutcomeQueries:
     def meets_sla(self, sla_us: float, q: float = 99.0) -> bool:
         p = self.percentile(q)
         return bool(p <= sla_us)   # NaN (empty run) never meets an SLA
+
+    def breakdown_means(self, rows: Optional[np.ndarray] = None
+                        ) -> Dict[str, float]:
+        """Mean microseconds per phase over ``rows`` (an index array or
+        mask; default: the served requests), 0.0 for an empty set."""
+        if rows is None:
+            rows = self.served_mask
+        out: Dict[str, float] = {}
+        for name in self.phases:
+            values = getattr(self, f"{name}_us")[rows]
+            out[name] = float(values.mean()) if values.size else 0.0
+        return out
 
 
 @dataclass
@@ -229,20 +249,6 @@ class ServingReport(OutcomeQueries):
     def mean_batch(self) -> float:
         return float(np.mean(self.batch_sizes)) if self.batch_sizes else 0.0
 
-    # -- request-phase queries -------------------------------------------
-    def breakdown_means(self) -> Dict[str, float]:
-        """Mean microseconds per phase across *served* requests."""
-        mask = self.served_mask
-
-        def mean_of(values: np.ndarray) -> float:
-            served = values[mask]
-            return float(served.mean()) if served.size else 0.0
-
-        return {"queue_wait": mean_of(self.queue_wait_us),
-                "batch_wait": mean_of(self.batch_wait_us),
-                "execute": mean_of(self.execute_us),
-                "retry_overhead": mean_of(self.retry_overhead_us)}
-
     def queue_depth_series(self) -> Dict[str, List[float]]:
         """Queue depth sampled at each dispatch instant."""
         return {"time_us": [b.dispatch_us for b in self.batches],
@@ -264,16 +270,14 @@ class ServingReport(OutcomeQueries):
             rows.append({
                 "request": r,
                 "arrival_us": float(self.arrivals_us[r]),
-                "queue_wait_us": float(self.queue_wait_us[r]),
-                "batch_wait_us": float(self.batch_wait_us[r]),
-                "execute_us": float(self.execute_us[r]),
+                **{f"{name}_us": float(getattr(self, f"{name}_us")[r])
+                   for name in PHASES},
                 "latency_us": float(self.latencies_us[r]),
                 "batch": b,
                 "batch_size": self.batches[b].size if 0 <= b < len(
                     self.batches) else 0,
                 "status": STATUS_NAMES[int(self.status[r])],
                 "attempts": int(self.attempts[r]),
-                "retry_overhead_us": float(self.retry_overhead_us[r]),
             })
         return rows
 

@@ -4,13 +4,13 @@ Aggregate percentiles say *that* a tail exists; capacity decisions need
 to know *why*.  This module contrasts the requests at or beyond a tail
 percentile against the requests around the median, along three axes:
 
-* **phase mix** — queue-wait vs batch-formation-wait vs execute
-  microseconds (from the serving simulator's exact per-request
-  attribution).  A tail dominated by ``queue_wait`` is head-of-line
-  blocking (shrink batches or add cards); a ``batch_wait`` tail is the
-  batching window itself (shrink ``max_wait_us``); an ``execute`` tail
-  is big-batch amortisation pricing in (the paper's Section 6.1
-  tension).
+* **phase mix** — queue-wait vs batch-formation-wait vs execute vs
+  retry-overhead microseconds (the serving simulator's exact
+  per-request attribution, averaged by ``breakdown_means``).  A tail
+  dominated by ``queue_wait`` is head-of-line blocking (shrink batches
+  or add cards); a ``batch_wait`` tail is the batching window itself
+  (shrink ``max_wait_us``); an ``execute`` tail is big-batch
+  amortisation pricing in (the paper's Section 6.1 tension).
 * **operator-category mix** — what the batches serving tail requests
   actually executed, from the cached per-batch-size
   :class:`~repro.eval.opmodel.GraphEstimate` breakdowns.
@@ -78,15 +78,14 @@ class TailAttribution:
             f"(p{self.median_band[0]:g}-p{self.median_band[1]:g}, "
             f"n={self.median_requests})",
             "",
-            f"  {'phase':<12}{'tail us':>10}{'median us':>11}{'delta':>10}",
+            f"  {'phase':<16}{'tail us':>10}{'median us':>11}{'delta':>10}",
         ]
-        for phase in ("queue_wait", "batch_wait", "execute"):
-            t = self.phase_us.get("tail", {}).get(phase, 0.0)
-            m = self.phase_us.get("median", {}).get(phase, 0.0)
-            lines.append(f"  {phase:<12}{t:>10.1f}{m:>11.1f}{t - m:>10.1f}")
+        for phase, t in self.phase_us.get("tail", {}).items():
+            m = self.phase_us["median"][phase]
+            lines.append(f"  {phase:<16}{t:>10.1f}{m:>11.1f}{t - m:>10.1f}")
         if self.batch_size:
             lines.append(
-                f"  {'batch size':<12}"
+                f"  {'batch size':<16}"
                 f"{self.batch_size.get('tail', 0):>10.1f}"
                 f"{self.batch_size.get('median', 0):>11.1f}"
                 f"{self.batch_size.get('tail', 0) - self.batch_size.get('median', 0):>10.1f}")
@@ -110,14 +109,6 @@ class TailAttribution:
                 lines.append(f"  {cause:<18}{t:>8.1f}{m:>10.1f}"
                              f"{t - m:>8.1f}")
         return "\n".join(lines)
-
-
-def _phase_means(report, idx: np.ndarray) -> Dict[str, float]:
-    if idx.size == 0:
-        return {"queue_wait": 0.0, "batch_wait": 0.0, "execute": 0.0}
-    return {"queue_wait": float(report.queue_wait_us[idx].mean()),
-            "batch_wait": float(report.batch_wait_us[idx].mean()),
-            "execute": float(report.execute_us[idx].mean())}
 
 
 def _cohort_category_mix(report, idx: np.ndarray,
@@ -146,8 +137,13 @@ def attribute_tail(report, latency_model=None, tail_q: float = 99.0,
     axis is omitted.  ``stall_mix`` is an optional precomputed
     ``{"tail": {...}, "median": {...}}`` of stall-cause fractions from
     exemplar cycle-level profiles.
+
+    Cohorts, percentiles and exemplars cover served requests only, as
+    the report's own percentiles do: an aborted request has no batch
+    and no meaningful latency.
     """
-    latency = np.asarray(report.latencies_us)
+    served = np.flatnonzero(report.served_mask)
+    latency = report.latencies_us[served]
     if latency.size == 0:
         return TailAttribution(tail_q=tail_q, tail_threshold_us=float("nan"),
                                median_band=tuple(median_band),
@@ -155,8 +151,8 @@ def attribute_tail(report, latency_model=None, tail_q: float = 99.0,
     threshold = float(np.percentile(latency, tail_q))
     lo = float(np.percentile(latency, median_band[0]))
     hi = float(np.percentile(latency, median_band[1]))
-    tail_idx = np.flatnonzero(latency >= threshold)
-    median_idx = np.flatnonzero((latency >= lo) & (latency <= hi))
+    tail_idx = served[latency >= threshold]
+    median_idx = served[(latency >= lo) & (latency <= hi)]
 
     def mean_batch(idx: np.ndarray) -> float:
         if idx.size == 0:
@@ -165,18 +161,16 @@ def attribute_tail(report, latency_model=None, tail_q: float = 99.0,
                  for r in idx]
         return float(np.mean(sizes))
 
+    tail_phases = report.breakdown_means(tail_idx)
+    median_phases = report.breakdown_means(median_idx)
     result = TailAttribution(
         tail_q=tail_q,
         tail_threshold_us=threshold,
         median_band=tuple(median_band),
         tail_requests=int(tail_idx.size),
         median_requests=int(median_idx.size),
-        phase_us={
-            "tail": _phase_means(report, tail_idx),
-            "median": _phase_means(report, median_idx),
-            "delta": _mix_delta(_phase_means(report, tail_idx),
-                                _phase_means(report, median_idx)),
-        },
+        phase_us={"tail": tail_phases, "median": median_phases,
+                  "delta": _mix_delta(tail_phases, median_phases)},
         batch_size={"tail": mean_batch(tail_idx),
                     "median": mean_batch(median_idx)},
     )
@@ -194,9 +188,9 @@ def attribute_tail(report, latency_model=None, tail_q: float = 99.0,
     # Exemplars: the batch serving the worst request, and the batch
     # serving the request closest to p50 — the pair a cycle-level
     # profile should contrast.
-    worst = int(np.argmax(latency))
+    worst = served[np.argmax(latency)]
     p50 = float(np.percentile(latency, 50))
-    nearest = int(np.argmin(np.abs(latency - p50)))
+    nearest = served[np.argmin(np.abs(latency - p50))]
     result.exemplar_batches = {
         "tail": int(report.batch_index[worst]),
         "median": int(report.batch_index[nearest]),

@@ -37,18 +37,15 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.obs.critical import record_request_spans, serving_critical_path
 from repro.obs.detect import AnomalyReport, detect_series
 from repro.obs.exemplars import ExemplarRecord, ExemplarStore
 from repro.obs.sketch import DEFAULT_RELATIVE_ACCURACY, QuantileSketch
 from repro.obs.timeseries import DEFAULT_WINDOW_US, WindowedSeries
-from repro.serving.simulator import STATUS_NAMES, ServingReport
+from repro.serving.simulator import PHASES, STATUS_NAMES, ServingReport
 
 __all__ = ["ServingTelemetry", "emit_exemplar_spans",
            "PHASES", "SERIES_NAMES"]
-
-#: request phases sketched individually (attribution invariant:
-#: queue_wait + batch_wait [+ retry_overhead] + execute == latency)
-PHASES = ("queue_wait", "batch_wait", "execute", "retry_overhead")
 
 #: windowed signals, in canonical export order
 SERIES_NAMES = ("requests", "latency_us", "queue_depth")
@@ -326,12 +323,11 @@ def emit_exemplar_spans(report: ServingReport,
                         spans) -> List[int]:
     """Draw request-waterfall span trees for chosen served requests.
 
-    The one waterfall builder: the engine records no spans, and every
-    input is already in the report's per-request arrays and
-    :class:`BatchRecord` list.  Each request gets a ``req{r}`` span on
-    track ``request.{r}`` with ``retry_overhead`` / ``batch_wait`` /
-    ``queue_wait`` / ``execute`` children that tile its latency, and a
-    flow arrow into its batch's device span on ``serving.device``.
+    The engine records no spans; each request's waterfall is its
+    verified :func:`~repro.obs.critical.serving_critical_path`, drawn by
+    :func:`~repro.obs.critical.record_request_spans` as a ``req{r}`` span
+    on track ``request.{r}`` whose phase children tile its latency, with
+    a flow arrow into its batch's device span on ``serving.device``.
     Tail-biased tracing is therefore honest: the slowest-k exemplars
     get the same waterfall a full trace would draw.  Ids that are out
     of range or were not served are skipped; returns the ids drawn
@@ -339,7 +335,6 @@ def emit_exemplar_spans(report: ServingReport,
     """
     if spans is None or not spans.enabled:
         return []
-    pid = "serving.requests"
     by_batch: Dict[int, List[int]] = {}
     for r in sorted(set(int(r) for r in request_ids)):
         if r < 0 or r >= report.latencies_us.size:
@@ -350,24 +345,10 @@ def emit_exemplar_spans(report: ServingReport,
         by_batch.setdefault(b, []).append(r)
     for b in sorted(by_batch):
         batch = report.batches[b]
-        flow_ids = []
-        for r in by_batch[b]:
-            arrival = float(report.arrivals_us[r])
-            enqueued = arrival + float(report.retry_overhead_us[r])
-            boundary = max(enqueued, min(batch.ready_us, batch.dispatch_us))
-            track = f"request.{r}"
-            with spans.span(track, f"req{r}", arrival, batch.finish_us,
-                            pid=pid, batch=b,
-                            batch_size=batch.size) as req:
-                for phase, start, end in (
-                        ("retry_overhead", arrival, enqueued),
-                        ("batch_wait", enqueued, boundary),
-                        ("queue_wait", boundary, batch.dispatch_us)):
-                    if end > start:
-                        spans.record(track, phase, start, end, pid=pid)
-                spans.record(track, "execute", batch.dispatch_us,
-                             batch.finish_us, pid=pid)
-            flow_ids.append(spans.link(req))
+        flow_ids = [spans.link(record_request_spans(
+            spans, serving_critical_path(report, r), f"request.{r}",
+            f"req{r}", "serving.requests", batch=b, batch_size=batch.size))
+            for r in by_batch[b]]
         spans.record("serving.device", f"batch{b}", batch.dispatch_us,
                      batch.finish_us, pid="serving", size=batch.size,
                      flow_in=tuple(flow_ids))

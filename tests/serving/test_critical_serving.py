@@ -125,7 +125,7 @@ class TestFleetPaths:
             path = fleet_critical_path(report, int(i))
             assert path.attrs["hedge_won"] is True
             kinds = {s.kind for s in path.segments}
-            assert "hedge_wait" in kinds and "route" in kinds
+            assert "hedge_wait" in kinds and "route_overhead" in kinds
 
     def test_router_hop_is_first_segment(self):
         report = hedge_fleet()

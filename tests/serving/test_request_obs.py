@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.obs.metrics import MetricRegistry
-from repro.serving import (BatchingConfig, SLOMonitor, attribute_tail,
-                           simulate_serving, slo_from_report)
+from repro.serving import (BatchingConfig, ResilienceConfig, SLOMonitor,
+                           attribute_tail, simulate_serving,
+                           slo_from_report)
 from repro.serving.slo import SLOSummary
 from repro.serving.telemetry import emit_exemplar_spans
 from repro.sim.trace import Tracer
@@ -272,3 +273,21 @@ class TestTailAttribution:
         assert "queue_wait" in text
         assert "batch size" in text
         assert "dram_queue" in text
+
+    def test_cohorts_cover_served_requests_only(self):
+        # 1 656 of these 3 000 requests are shed at admission: they have
+        # no batch and no latency a cohort could use
+        report = simulate_serving(
+            lambda b: 150.0 + 2.0 * b, 200_000.0, BatchingConfig(16, 100.0),
+            resilience=ResilienceConfig(shed_queue_depth=16,
+                                        deadline_us=600.0, max_retries=1,
+                                        retry_backoff_us=50.0),
+            num_requests=3000, seed=3, registry=None)
+        served = np.flatnonzero(report.served_mask)
+        assert 0 < served.size < report.latencies_us.size
+        tail = attribute_tail(report)
+        assert tail.tail_threshold_us == report.p99_us
+        assert tail.tail_requests + tail.median_requests <= served.size
+        for k in tail.exemplar_batches.values():
+            assert 0 <= k < len(report.batches)
+        assert set(tail.phase_us["tail"]) == set(report.phases)

@@ -13,7 +13,18 @@ CASES = [
     ("serve_report", "quickstart --qps 0", "--qps"),
     ("serve_report", "quickstart --max-batch 0", "--max-batch"),
     ("serve_report", "quickstart --critical --critical-k -1", "--critical-k"),
+    ("serve_report", "quickstart --availability 1.5", "--availability"),
+    ("serve_report", "quickstart --window-us 0", "--window-us"),
+    ("serve_report", "quickstart --max-wait-us -1", "--max-wait-us"),
+    ("serve_report", "quickstart --replicas 0", "--replicas"),
+    ("serve_report", "quickstart --fleet --duration-us -5", "--duration-us"),
+    ("serve_report", "quickstart --sla-us nan", "--sla-us"),
+    ("serve_report", "quickstart --jobs 0", "--jobs"),
+    ("serve_report", "quickstart --max-request-rows -1",
+     "--max-request-rows"),
     ("critpath", "fc --top -3", "--top"),
+    ("critpath", "quickstart --whatif dram=nan", "--whatif"),
+    ("critpath", "quickstart --whatif dram=inf", "--whatif"),
     ("profile", "quickstart --top -3", "--top"),
 ]
 
