@@ -20,12 +20,13 @@ Output (text or ``--json``) is byte-identical for the same seed at any
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import List, Optional
 
-from repro.autotune.space import FCShape, TBEShape
+from repro.autotune.space import FCShape, MappingSpace, TBEShape
 from repro.autotune.tuner import autotune, render_text
+from repro.kernels.tbe import TBE_DIMS
+from repro.obs.cli import COUNT, add_jobs, add_seed, add_seeds, emit
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -37,54 +38,48 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="family", required=True)
 
     fc = sub.add_parser("fc", help="tune a fully-connected layer")
-    fc.add_argument("--m", type=int, default=512)
-    fc.add_argument("--k", type=int, default=1024)
-    fc.add_argument("--n", type=int, default=256)
+    fc.add_argument("--m", type=COUNT, default=512)
+    fc.add_argument("--k", type=COUNT, default=1024)
+    fc.add_argument("--n", type=COUNT, default=256)
     fc.add_argument("--dtype", default="int8", choices=("int8", "fp16"))
 
     tbe = sub.add_parser("tbe", help="tune a table-batched embedding")
-    tbe.add_argument("--tables", type=int, default=8)
-    tbe.add_argument("--rows", type=int, default=100_000)
-    tbe.add_argument("--dim", type=int, default=64)
-    tbe.add_argument("--pooling", type=int, default=16)
-    tbe.add_argument("--batch", type=int, default=32)
+    for flag, dim, default in zip(
+            ("--tables", "--rows", "--dim", "--pooling", "--batch"),
+            TBE_DIMS, (8, 100_000, 64, 16, 32)):
+        tbe.add_argument(flag, dest=dim, type=COUNT, default=default)
 
     for p in (fc, tbe):
-        p.add_argument("--seed", type=int, default=0,
-                       help="search seed (default %(default)s)")
-        p.add_argument("--seeds", type=int, default=1, metavar="N",
-                       help="run N consecutive seeds starting at --seed "
-                       "and pool the survivors (default %(default)s)")
-        p.add_argument("--budget", type=int, default=200,
+        add_seed(p, help="search seed (default %(default)s)")
+        add_seeds(p, 1, help="run N consecutive seeds starting at --seed "
+                  "and pool the survivors (default %(default)s)")
+        p.add_argument("--budget", type=COUNT, default=200,
                        help="max unique cost-model evaluations per seed "
                        "(default %(default)s)")
-        p.add_argument("--topk", type=int, default=4,
+        p.add_argument("--topk", type=COUNT, default=4,
                        help="survivors to DES-validate "
                        "(default %(default)s)")
-        p.add_argument("--jobs", type=int, default=1, metavar="N",
-                       help="simulation worker processes (default 1); "
-                       "results are byte-identical at any value")
+        add_jobs(p)
         p.add_argument("--json", action="store_true",
                        help="emit the schema-pinned JSON report")
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.family == "fc":
         shape = FCShape(m=args.m, k=args.k, n=args.n, dtype=args.dtype)
     else:
-        shape = TBEShape(num_tables=args.tables,
-                         rows_per_table=args.rows,
-                         embedding_dim=args.dim,
-                         pooling_factor=args.pooling,
-                         batch_size=args.batch)
+        shape = TBEShape(**{dim: getattr(args, dim) for dim in TBE_DIMS})
+    space = MappingSpace(shape=shape)
+    if not space.candidates():
+        parser.error(f"the mapping space for {shape.describe()} is empty: "
+                     "no sub-grid, tiling or placement is legal for it")
     result = autotune(shape, seed=args.seed, seeds=args.seeds,
-                      budget=args.budget, topk=args.topk, jobs=args.jobs)
-    if args.json:
-        print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(render_text(result))
+                      budget=args.budget, topk=args.topk, jobs=args.jobs,
+                      space=space)
+    emit(result.to_dict() if args.json else render_text(result))
     return 0
 
 

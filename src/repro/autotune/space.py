@@ -39,8 +39,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from repro.config import MTIA_V1, ChipConfig
+from repro.config import MTIA_V1, ChipConfig, require_positive
 from repro.kernels.fc import TILE_K, TILE_MN
+from repro.kernels.tbe import TBE_DIMS
 
 from repro.autotune.rng import SplitMix64
 
@@ -59,6 +60,9 @@ class FCShape:
     dtype: str = "int8"
 
     family = "fc"
+
+    def __post_init__(self) -> None:
+        require_positive(m=self.m, k=self.k, n=self.n)
 
     def to_dict(self) -> Dict:
         return {"family": "fc", "m": self.m, "k": self.k, "n": self.n,
@@ -79,6 +83,9 @@ class TBEShape:
     batch_size: int
 
     family = "tbe"
+
+    def __post_init__(self) -> None:
+        require_positive(**{dim: getattr(self, dim) for dim in TBE_DIMS})
 
     @property
     def table_bytes(self) -> int:

@@ -123,9 +123,11 @@ def autotune(shape, seed: int = 0, seeds: int = 1, budget: int = 200,
              search_config: Optional[SearchConfig] = None
              ) -> AutotuneResult:
     """Tune ``shape``; deterministic in (seed, seeds, budget, topk)."""
+    if seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {seeds!r}")
     if space is None:
         space = MappingSpace(shape=shape)
-    seed_list = [seed + i for i in range(max(1, seeds))]
+    seed_list = [seed + i for i in range(seeds)]
     searches: List[SearchResult] = []
     for s in seed_list:
         config = (search_config if search_config is not None

@@ -29,6 +29,8 @@ import sys
 import time
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs.cli import add_jobs, add_sim_cache, emit, use_sim_cache
+
 SCHEMA_VERSION = 1
 DEFAULT_LABEL = "pr10"  # bump per PR; the trajectory lives in git
 TRAJECTORY_SCHEMA_VERSION = 1
@@ -436,11 +438,10 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="exit non-zero on simulated-metric "
                         "regressions beyond the threshold "
                         "(default: report only)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for the workloads "
-                        "(default 1 = serial); simulated metrics are "
-                        "identical at any job count, but wall times "
-                        "are only trajectory-comparable at --jobs 1")
+    add_jobs(parser, help="worker processes for the workloads "
+             "(default 1 = serial); simulated metrics are "
+             "identical at any job count, but wall times "
+             "are only trajectory-comparable at --jobs 1")
     parser.add_argument("--autotuned", action="store_true",
                         help="also search each workload's mapping space "
                         "(repro.autotune, fixed seed) and report the "
@@ -453,33 +454,20 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--json", action="store_true",
                         help="with --trajectory: emit JSON instead of "
                         "the table")
-    parser.add_argument("--sim-cache", default=None, metavar="WHERE",
-                        const="mem", nargs="?",
-                        help="enable the sim-result cache for the run "
-                        "('mem' or a directory path); sets "
-                        "REPRO_SIM_CACHE for this process, so wall "
-                        "times measure cache replay, not simulation")
+    add_sim_cache(parser, help="enable the sim-result cache for the run "
+                  "('mem' or a directory path); sets "
+                  "REPRO_SIM_CACHE for this process, so wall "
+                  "times measure cache replay, not simulation")
     args = parser.parse_args(argv)
 
     if args.trajectory:
         trajectory = load_trajectory(args.output_dir)
-        if args.json:
-            print(json.dumps(trajectory, indent=2, sort_keys=True))
-        else:
-            print(render_trajectory(trajectory))
+        emit(trajectory if args.json else render_trajectory(trajectory))
         return 0
 
-    if args.sim_cache:
-        os.environ["REPRO_SIM_CACHE"] = args.sim_cache
-        from repro.simcache import reset_env_cache
-        reset_env_cache()
-
+    use_sim_cache(args.sim_cache)
     payload = run_bench(args.label, args.workloads or None, jobs=args.jobs,
                         autotuned=args.autotuned)
-    path = os.path.join(args.output_dir, f"BENCH_{args.label}.json")
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     for name, result in sorted(payload["workloads"].items()):
         line = (f"{name:<6} latency {result['latency_us']:10.1f} us  "
                 f"tflops {result['achieved_tflops']:6.2f}  "
@@ -491,7 +479,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                      f"({extras['autotuned_speedup']:.2f}x, "
                      f"{extras['autotuned_mapping']})")
         print(line)
-    print(f"wrote {path}")
+    path = os.path.join(args.output_dir, f"BENCH_{args.label}.json")
+    emit(payload, path, "bench report")
 
     if args.compare:
         baseline_path = args.compare

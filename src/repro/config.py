@@ -19,6 +19,13 @@ MIB = 1024 * KIB
 GIB = 1024 * MIB
 
 
+def require_positive(**dims) -> None:
+    """Raise ``ValueError`` naming the first of ``dims`` below 1."""
+    for name, value in dims.items():
+        if not value >= 1:
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DPEConfig:
     """Dot-Product Engine parameters (Section 3.1.2).

@@ -25,18 +25,7 @@ from repro.conformance.fuzzer import OP_FAMILIES
 from repro.conformance.golden import TolerancePolicy
 from repro.conformance.runner import (PILLARS, CaseResult,
                                       ConformanceConfig, run_conformance)
-
-
-def _csv(choices):
-    def parse(text: str):
-        items = tuple(t.strip() for t in text.split(",") if t.strip())
-        unknown = set(items) - set(choices)
-        if unknown:
-            raise argparse.ArgumentTypeError(
-                f"unknown value(s) {sorted(unknown)}; "
-                f"choose from {','.join(choices)}")
-        return items
-    return parse
+from repro.obs.cli import SEED, add_jobs, add_seed, add_seeds, comma_list, emit
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,20 +34,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Differential conformance: fuzzed graphs vs the "
                     "numpy golden reference, sim vs analytical model, "
                     "and determinism replay.")
-    parser.add_argument("--seeds", type=int, default=25,
-                        help="number of seeds to sweep (default 25)")
-    parser.add_argument("--seed-start", type=int, default=0,
-                        help="first seed of the sweep (default 0)")
-    parser.add_argument("--replay", type=int, action="append", default=None,
-                        metavar="SEED",
+    add_seeds(parser, 25, help="number of seeds to sweep (default 25)")
+    add_seed(parser, "--seed-start",
+             help="first seed of the sweep (default 0)")
+    parser.add_argument("--replay", type=SEED, action="append",
+                        default=None, metavar="SEED",
                         help="replay exactly this seed (repeatable); "
                         "overrides --seeds/--seed-start")
-    parser.add_argument("--ops", type=_csv(OP_FAMILIES),
+    parser.add_argument("--ops", type=comma_list(choices=OP_FAMILIES),
                         default=OP_FAMILIES, metavar="OPS",
                         help="comma-separated op families for the fuzzer "
                         f"(default {','.join(OP_FAMILIES)})")
-    parser.add_argument("--pillars", type=_csv(PILLARS), default=PILLARS,
-                        metavar="PILLARS",
+    parser.add_argument("--pillars", type=comma_list(choices=PILLARS),
+                        default=PILLARS, metavar="PILLARS",
                         help="comma-separated pillars to run "
                         f"(default {','.join(PILLARS)})")
     parser.add_argument("--band-lo", type=float, default=CrossvalBand().lo,
@@ -74,10 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--rtol", type=float,
                         default=TolerancePolicy().rtol,
                         help="relative tolerance for fp comparisons")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes for the sweep (default 1 "
-                        "= serial); results are identical at any job "
-                        "count, only wall time changes")
+    add_jobs(parser)
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write the full JSON report to PATH "
                         "('-' for stdout)")
@@ -105,13 +90,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         explicit_seeds=tuple(args.replay) if args.replay else None)
 
     def progress(case: CaseResult) -> None:
-        if args.quiet:
-            return
         marker = "." if case.ok else "F"
         print(f"{marker} seed={case.seed:<6} {case.pillar:<12} "
               f"{case.status}", flush=True)
 
-    report = run_conformance(config, progress=progress, jobs=args.jobs)
+    report = run_conformance(config, jobs=args.jobs,
+                             progress=None if args.quiet else progress)
 
     print()
     totals = report.to_dict()["totals"]
@@ -148,13 +132,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"       reproduce: {_replay_command(case, args)}")
 
     if args.json:
-        text = report.to_json()
-        if args.json == "-":
-            print(text)
-        else:
-            with open(args.json, "w") as fh:
-                fh.write(text + "\n")
-            print(f"wrote JSON report to {args.json}")
+        emit(report.to_dict(), args.json, "JSON report")
 
     print("PASS" if report.passed else "FAIL")
     return 0 if report.passed else 1

@@ -27,17 +27,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Dict, List, Optional, Tuple
 
 from repro.config import MTIA_V1, ChipConfig
 from repro.core.accelerator import Accelerator
+from repro.obs.cli import POSITIVE, add_jobs, bounded, emit
 from repro.obs.critical import CriticalPath, extract_critical_path
 from repro.obs.whatif import (RESOURCE_SCALINGS, project_whatif,
                               scaled_chip_config)
 from repro.parallel import parallel_map
-from repro.profile import WORKLOADS, bounded, resolve_workload
+from repro.profile import WORKLOADS, resolve_workload
 
 #: pinned schema for the JSON report (CI golden-pins it)
 SCHEMA_VERSION = 1
@@ -71,22 +71,17 @@ def _resim_job(task: Tuple[str, str, float]) -> float:
 
 
 def parse_whatif_spec(spec: str) -> Tuple[str, float]:
-    """Parse ``RESOURCE=FACTOR`` (e.g. ``dram=1.2``); a bad spec exits
-    with a message that ``main`` reports as a ``--whatif`` usage error."""
+    """The ``--whatif`` argparse ``type``: ``RESOURCE=FACTOR`` (e.g.
+    ``dram=1.2``) with a known resource and a finite factor > 0."""
     resource, sep, raw = spec.partition("=")
     known = ", ".join(sorted(RESOURCE_SCALINGS))
     if not sep:
-        raise SystemExit(
+        raise argparse.ArgumentTypeError(
             f"must be RESOURCE=FACTOR (resources: {known}), got {spec!r}")
     if resource not in RESOURCE_SCALINGS:
-        raise SystemExit(f"must be one of {known}, got resource {resource!r}")
-    try:
-        factor = float(raw)
-    except ValueError:
-        raise SystemExit(f"must be a number, got factor {raw!r}")
-    if not (math.isfinite(factor) and factor > 0):
-        raise SystemExit(f"must be finite and > 0, got factor {raw!r}")
-    return resource, factor
+        raise argparse.ArgumentTypeError(
+            f"must be one of {known}, got resource {resource!r}")
+    return resource, POSITIVE(raw)
 
 
 def analyze_workload(name: str,
@@ -227,7 +222,8 @@ def main(argv: Optional[list] = None) -> int:
                         help="write to this file instead of stdout")
     parser.add_argument("--top", type=bounded(int, 0), default=10,
                         help="resources/segments shown in the text report")
-    parser.add_argument("--whatif", action="append", default=[],
+    parser.add_argument("--whatif", type=parse_whatif_spec,
+                        action="append", default=[],
                         metavar="RESOURCE=FACTOR",
                         help="project scaling a resource (repeatable); "
                         "resources: %s" % ", ".join(
@@ -235,38 +231,23 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--validate", action="store_true",
                         help="re-simulate each --whatif scaling and "
                         "report the prediction error")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for --validate re-runs")
+    add_jobs(parser, help="parallel workers for --validate re-runs")
     args = parser.parse_args(argv)
 
     name = resolve_workload(args.workload)
-    try:
-        specs = [parse_whatif_spec(spec) for spec in args.whatif]
-    except SystemExit as exc:
-        parser.error(f"argument --whatif: {exc}")
 
     if args.format == "chrome":
         acc, _ = run_workload_with_edges(name, trace=True)
         path = extract_critical_path(acc.edges)
         trace = build_critical_chrome_trace(acc, path)
-        out = args.output or f"{name}.critical.trace.json"
-        with open(out, "w") as fh:
-            json.dump(trace, fh)
-        print(f"wrote Chrome trace to {out} "
-              f"({len(trace['traceEvents'])} events, critical path on "
-              f"its own track); open in chrome://tracing")
+        emit(json.dumps(trace), args.output or f"{name}.critical.trace.json",
+             "Chrome trace")
         return 0
 
-    report = analyze_workload(name, whatif=specs,
+    report = analyze_workload(name, whatif=args.whatif,
                               validate=args.validate, jobs=args.jobs)
-    text = (json.dumps(report, indent=2, sort_keys=True)
-            if args.format == "json" else render_text(report, args.top))
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.format} report to {args.output}")
-    else:
-        print(text)
+    emit(report if args.format == "json" else render_text(report, args.top),
+         args.output, f"{args.format} report")
     return 0
 
 

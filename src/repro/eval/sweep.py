@@ -19,10 +19,11 @@ deterministically (by kind, then seed) at any ``--jobs`` count.
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
+
+from repro.obs.cli import (add_jobs, add_seed, add_seeds, add_sim_cache,
+                       comma_list, emit, use_sim_cache)
 
 SWEEP_KINDS = ("fc", "tbe")
 
@@ -52,38 +53,25 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Sweep fuzzed shapes through the cycle-level "
                     "simulator and the analytical model; report the "
                     "model/sim ratio distribution.")
-    parser.add_argument("--seeds", type=int, default=20,
-                        help="seeds per kind (default 20)")
-    parser.add_argument("--seed-start", type=int, default=0,
-                        help="first seed (default 0)")
-    parser.add_argument("--kinds", default="fc",
+    add_seeds(parser, 20, help="seeds per kind (default 20)")
+    add_seed(parser, "--seed-start", help="first seed (default 0)")
+    parser.add_argument("--kinds", type=comma_list(choices=SWEEP_KINDS),
+                        default="fc",
                         help="comma-separated kinds to sweep: "
                         f"{','.join(SWEEP_KINDS)} (default fc; tbe is "
                         "much slower)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes (default 1 = serial); "
-                        "results are identical at any job count")
-    parser.add_argument("--sim-cache", default=None, metavar="WHERE",
-                        const="mem", nargs="?",
-                        help="enable the sim-result cache ('mem' or a "
-                        "directory); repeated sweeps replay cached sim "
-                        "results bit-identically")
+    add_jobs(parser)
+    add_sim_cache(parser, help="enable the sim-result cache ('mem' or a "
+                  "directory); repeated sweeps replay cached sim "
+                  "results bit-identically")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write results as JSON to PATH "
                         "('-' for stdout)")
     args = parser.parse_args(argv)
 
-    kinds = tuple(k.strip() for k in args.kinds.split(",") if k.strip())
-    unknown = set(kinds) - set(SWEEP_KINDS)
-    if unknown:
-        parser.error(f"unknown kind(s) {sorted(unknown)}; "
-                     f"choose from {','.join(SWEEP_KINDS)}")
-    if args.sim_cache:
-        os.environ["REPRO_SIM_CACHE"] = args.sim_cache
-        from repro.simcache import reset_env_cache
-        reset_env_cache()
+    use_sim_cache(args.sim_cache)
 
-    results = sweep(kinds, args.seeds, args.seed_start, jobs=args.jobs)
+    results = sweep(args.kinds, args.seeds, args.seed_start, jobs=args.jobs)
 
     out_of_band = 0
     for res in results:
@@ -100,13 +88,7 @@ def main(argv: Optional[List[str]] = None) -> int:
           f"{out_of_band} outside the band")
 
     if args.json:
-        text = json.dumps(results, indent=2, sort_keys=True)
-        if args.json == "-":
-            print(text)
-        else:
-            with open(args.json, "w") as fh:
-                fh.write(text + "\n")
-            print(f"wrote {args.json}")
+        emit(results, args.json, "JSON results")
     return 0 if out_of_band == 0 else 1
 
 

@@ -21,8 +21,9 @@ import argparse
 import sys
 from typing import List, Optional
 
-from repro.faults.campaign import (CampaignConfig, render_text, run_campaign,
-                                   to_json)
+from repro.faults.campaign import CampaignConfig, render_text, run_campaign
+from repro.obs.cli import (COUNT, POSITIVE, add_jobs, add_seed, add_seeds,
+                           emit)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,19 +33,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "against the resilient serving simulator, plus a "
                     "hardware fault microbench and a multi-card failover "
                     "estimate.")
-    parser.add_argument("--seeds", type=int, default=10,
-                        help="seeds per scenario (default 10)")
-    parser.add_argument("--seed-start", type=int, default=0,
-                        help="first seed (default 0)")
-    parser.add_argument("--requests", type=int, default=2000,
+    add_seeds(parser, 10, help="seeds per scenario (default 10)")
+    add_seed(parser, "--seed-start", help="first seed (default 0)")
+    parser.add_argument("--requests", type=COUNT, default=2000,
                         help="requests per serving run (default 2000)")
-    parser.add_argument("--qps", type=float, default=20_000.0,
+    parser.add_argument("--qps", type=POSITIVE, default=20_000.0,
                         help="baseline offered load (default 20000)")
-    parser.add_argument("--cards", type=int, default=4,
+    parser.add_argument("--cards", type=COUNT, default=4,
                         help="cards behind the serving queue (default 4)")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker processes (default 1 = serial); the "
-                        "report is identical at any job count")
+    add_jobs(parser)
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="write the JSON report to PATH ('-' for "
                         "stdout)")
@@ -66,24 +63,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         include_failover=not args.no_failover)
 
     def progress(row) -> None:
-        if args.quiet:
-            return
         marker = ("." if row.get("graceful", True) else "F")
         print(f"{marker} seed={row['seed']:<6} {row['scenario']:<18} "
               f"avail={row['faulted']['availability']:.4f}", flush=True)
 
-    report = run_campaign(cfg, jobs=args.jobs, progress=progress)
+    report = run_campaign(cfg, jobs=args.jobs,
+                          progress=None if args.quiet else progress)
     print()
     print(render_text(report))
 
     if args.json:
-        text = to_json(report)
-        if args.json == "-":
-            print(text)
-        else:
-            with open(args.json, "w") as fh:
-                fh.write(text + "\n")
-            print(f"wrote JSON report to {args.json}")
+        emit(report, args.json, "JSON report")
 
     passed = all(report["checks"].values())
     return 0 if passed else 1

@@ -29,6 +29,7 @@ from typing import Generator, List, Optional, Tuple
 
 import numpy as np
 
+from repro.config import require_positive
 from repro.dtypes import DType, dtype as resolve_dtype
 from repro.isa.commands import (DMALoad, DMAStore, InitAccumulators, InitCB,
                                 MML, PopCB, Reduce)
@@ -462,6 +463,7 @@ def run_fc(acc: Accelerator, a: Optional[np.ndarray] = None,
     if a is None:
         if None in (m, k, n):
             raise ValueError("pass operand arrays or all of m, k, n")
+        require_positive(m=m, k=k, n=n)
         if dtype.name == "int8":
             a = rng.integers(-128, 128, size=(m, k), dtype=np.int8)
             b_t = rng.integers(-128, 128, size=(n, k), dtype=np.int8)
@@ -475,6 +477,7 @@ def run_fc(acc: Accelerator, a: Optional[np.ndarray] = None,
         n, _ = b_t.shape
         if b_t.shape[1] != k:
             raise ValueError(f"k mismatch: A is {a.shape}, B^T is {b_t.shape}")
+        require_positive(m=m, k=k, n=n)
 
     true_m, true_n = m, n
     if auto_pad:

@@ -29,6 +29,7 @@ from typing import Generator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.config import require_positive
 from repro.isa.commands import DMALoad, DMAStore, InitCB, PushCB
 from repro.core.accelerator import Accelerator
 from repro.core.grid import SubGrid
@@ -37,6 +38,10 @@ from repro.sim import SimulationError
 
 CB_ROWS = 0
 CB_OUT = 1
+
+#: the dimensions of a TBE shape; each must be >= 1
+TBE_DIMS = ("num_tables", "rows_per_table", "embedding_dim",
+            "pooling_factor", "batch_size")
 
 
 @dataclass
@@ -50,6 +55,9 @@ class TBEConfig:
     batch_size: int
     #: per-table dequantisation scale for the 8-bit rows
     scale: float = 1.0 / 64.0
+
+    def __post_init__(self) -> None:
+        require_positive(**{dim: getattr(self, dim) for dim in TBE_DIMS})
 
     @property
     def num_bags(self) -> int:

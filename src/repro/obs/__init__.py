@@ -24,6 +24,8 @@ Three layers, all opt-in and free when disabled:
 - :mod:`repro.obs.whatif` — Coz-style what-if projection: virtually
   scale a resource on the recorded event graph and predict the
   end-to-end delta, validated against true re-simulation.
+- :mod:`repro.obs.cli` — the flags the ``python -m repro.*`` CLIs share,
+  each validated once, and their one report writer.
 """
 
 from repro.obs.metrics import (

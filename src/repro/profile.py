@@ -21,12 +21,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from typing import Dict, Optional, Tuple
 
 from repro.core.accelerator import Accelerator
+from repro.obs.cli import bounded, emit
 from repro.obs.profiler import BottleneckReport, Profiler
 
 
@@ -104,20 +104,6 @@ def resolve_workload(spec: str) -> str:
                      "or a path to an example script")
 
 
-def bounded(kind, low, strict: bool = False):
-    """An argparse ``type``: ``kind(text)``, rejected unless it is
-    finite and ``>= low`` (``> low`` when ``strict``)."""
-    def parse(text: str):
-        value = kind(text)
-        if not (math.isfinite(value)
-                and (value > low if strict else value >= low)):
-            raise argparse.ArgumentTypeError(
-                f"must be finite and {'>' if strict else '>='} {low}, "
-                f"got {text!r}")
-        return value
-    return parse
-
-
 def profile_workload(name: str, record_edges: bool = False
                      ) -> Tuple[BottleneckReport, Accelerator]:
     """Run one named workload under the profiler; returns the report.
@@ -143,8 +129,7 @@ def main(argv: Optional[list] = None) -> int:
     parser.add_argument("--format", choices=("text", "json", "chrome"),
                         default="text", help="report format")
     parser.add_argument("--output", "-o", default=None,
-                        help="write to this file instead of stdout "
-                        "(required for --format chrome)")
+                        help="write to this file instead of stdout")
     parser.add_argument("--top", type=bounded(int, 0), default=10,
                         help="tracks/operations shown in the text report")
     parser.add_argument("--critical", action="store_true",
@@ -160,33 +145,24 @@ def main(argv: Optional[list] = None) -> int:
         critical = extract_critical_path(acc.edges)
 
     if args.format == "chrome":
-        path = args.output or f"{name}.trace.json"
         if critical is None:
-            acc.save_trace(path)
+            trace = acc.tracer.to_chrome_trace(acc.config.frequency_ghz)
         else:
             from repro.critpath import build_critical_chrome_trace
-            with open(path, "w") as fh:
-                json.dump(build_critical_chrome_trace(acc, critical), fh)
-        print(f"wrote Chrome trace to {path} "
-              f"({len(acc.tracer.spans)} spans); open in chrome://tracing")
+            trace = build_critical_chrome_trace(acc, critical)
+        emit(json.dumps(trace), args.output or f"{name}.trace.json",
+             "Chrome trace")
         return 0
 
     if args.format == "json":
-        text = report.to_json()
+        out = report.to_dict()
         if critical is not None:
-            data = json.loads(text)
-            data["critical_path"] = critical.to_dict(max_segments=64)
-            text = json.dumps(data, indent=2, sort_keys=True)
+            out["critical_path"] = critical.to_dict(max_segments=64)
     else:
-        text = report.to_text(top_n=args.top)
+        out = report.to_text(top_n=args.top)
         if critical is not None:
-            text += "\n\n" + critical.to_text(top=args.top)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.format} report to {args.output}")
-    else:
-        print(text)
+            out += "\n\n" + critical.to_text(top=args.top)
+    emit(out, args.output, f"{args.format} report")
     return 0
 
 

@@ -35,6 +35,9 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
+from repro.obs.cli import (COUNT, POSITIVE, add_jobs, add_seed, bounded,
+                           emit)
+from repro.serving import ROUTING_POLICIES, TRACES
 from repro.serving.simulator import (BatchingConfig, BatchLatencyModel,
                                      ServingReport, simulate_serving)
 from repro.serving.slo import SLOSummary, slo_from_report
@@ -53,6 +56,13 @@ WORKLOADS: Dict[str, Dict] = {
     "mc1": {"model": "MC1", "qps": 2_000.0, "sla_us": 10_000.0,
             "num_requests": 3000},
 }
+
+
+def _preset(workload: str) -> Dict:
+    if workload not in WORKLOADS:
+        raise SystemExit(f"unknown workload {workload!r}; choose one of "
+                         f"{', '.join(sorted(WORKLOADS))}")
+    return WORKLOADS[workload]
 
 
 @dataclass
@@ -241,13 +251,9 @@ def run_serve_report(workload: str = "quickstart",
     merged in replica-index order.  The merged report is byte-identical
     at any ``jobs`` count (CI diffs ``--jobs 1`` against ``--jobs 4``).
     """
-    if workload not in WORKLOADS:
-        known = ", ".join(sorted(WORKLOADS))
-        raise SystemExit(f"unknown workload {workload!r}; "
-                         f"choose one of {known}")
+    spec = _preset(workload)
     if replicas < 1:
         raise ValueError("replicas must be >= 1")
-    spec = WORKLOADS[workload]
     qps = qps if qps is not None else spec["qps"]
     sla_us = sla_us if sla_us is not None else spec["sla_us"]
     num_requests = (num_requests if num_requests is not None
@@ -478,11 +484,7 @@ def run_fleet_report(workload: str = "quickstart",
     from repro.serving.resilience import ResilienceConfig
     from repro.serving.traffic import trace_preset
 
-    if workload not in WORKLOADS:
-        known = ", ".join(sorted(WORKLOADS))
-        raise SystemExit(f"unknown workload {workload!r}; "
-                         f"choose one of {known}")
-    spec = WORKLOADS[workload]
+    spec = _preset(workload)
     sla_us = sla_us if sla_us is not None else spec["sla_us"]
     policies = list(policies) if policies else list(ROUTING_POLICIES)
     if primary_policy not in policies:
@@ -610,39 +612,33 @@ def build_fleet_chrome_trace(fleet_report, max_requests: int = 32) -> dict:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from repro.profile import bounded
-
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve_report",
         description="Request-level serving observability report.")
     parser.add_argument("workload", nargs="?", default="quickstart",
                         help="workload name (%s)"
                         % "/".join(sorted(WORKLOADS)))
-    parser.add_argument("--qps", type=bounded(float, 0, strict=True),
-                        default=None,
+    parser.add_argument("--qps", type=POSITIVE, default=None,
                         help="offered load (default: workload preset)")
-    parser.add_argument("--sla-us", type=bounded(float, 0, strict=True),
-                        default=None,
+    parser.add_argument("--sla-us", type=POSITIVE, default=None,
                         help="latency SLA in us (default: preset)")
     parser.add_argument("--requests", type=bounded(int, 0), default=None,
                         help="number of simulated requests")
-    parser.add_argument("--seed", type=int, default=0)
+    add_seed(parser)
     parser.add_argument("--availability", type=float, default=0.999,
                         help="SLO availability target (default 0.999)")
-    parser.add_argument("--window-us", type=bounded(float, 0, strict=True),
-                        default=50_000.0,
+    parser.add_argument("--window-us", type=POSITIVE, default=50_000.0,
                         help="rolling SLO window width")
-    parser.add_argument("--max-batch", type=bounded(int, 1), default=256)
+    parser.add_argument("--max-batch", type=COUNT, default=256)
     parser.add_argument("--max-wait-us", type=bounded(float, 0),
                         default=200.0)
     parser.add_argument("--max-request-rows", type=bounded(int, 0),
                         default=100,
                         help="per-request rows in the JSON (0 = all)")
-    parser.add_argument("--replicas", type=bounded(int, 1), default=1,
+    parser.add_argument("--replicas", type=COUNT, default=1,
                         help="fleet replicas; >1 adds satellite streams "
                         "that contribute bounded telemetry only")
-    parser.add_argument("--jobs", type=bounded(int, 1), default=1,
-                        help="worker processes for satellite replicas")
+    add_jobs(parser, help="worker processes for satellite replicas")
     parser.add_argument("--no-exemplars", action="store_true",
                         help="skip the cycle-level exemplar profiles")
     parser.add_argument("--json", action="store_true",
@@ -655,18 +651,18 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="fleet mode: router + N replicas over a "
                         "traffic trace (policy comparison + capacity)")
     parser.add_argument("--trace-name", default="diurnal",
-                        help="fleet traffic preset "
-                        "(steady/diurnal/spike/flash_crowd)")
-    parser.add_argument("--duration-us", type=bounded(float, 0, strict=True),
-                        default=50_000.0,
+                        choices=sorted(TRACES),
+                        help="fleet traffic preset")
+    parser.add_argument("--duration-us", type=POSITIVE, default=50_000.0,
                         help="fleet trace span in simulated us")
     parser.add_argument("--policy", default="power_of_two",
+                        choices=ROUTING_POLICIES,
                         help="fleet primary policy (full report + "
                         "capacity use this one)")
-    parser.add_argument("--racks", type=int, default=2,
+    parser.add_argument("--racks", type=COUNT, default=2,
                         help="fleet rack count (correlated-failure "
                         "blast radius)")
-    parser.add_argument("--power-domains", type=int, default=2)
+    parser.add_argument("--power-domains", type=COUNT, default=2)
     parser.add_argument("--faults", action="store_true",
                         help="fleet mode: inject a seeded correlated "
                         "rack/power fault plan")
@@ -690,73 +686,40 @@ def main(argv: Optional[List[str]] = None) -> int:
             racks=args.racks, power_domains=args.power_domains,
             primary_policy=args.policy, availability=args.availability,
             with_faults=args.faults, jobs=args.jobs)
-        if args.chrome:
-            trace = build_fleet_chrome_trace(
-                fleet_reports[report.primary_policy])
-            path = args.output or f"{args.workload}.fleet_trace.json"
-            with open(path, "w") as fh:
-                json.dump(trace, fh)
-            print(f"wrote fleet Chrome trace to {path} "
-                  f"({len(trace['traceEvents'])} events); open in "
-                  "ui.perfetto.dev or chrome://tracing")
-            return 0
-        crit_rows = (tail_critical_paths(
-            fleet_reports[report.primary_policy], args.critical_k)
-            if args.critical else None)
-        if args.json:
-            data = report.to_dict()
-            if crit_rows is not None:
-                data["critical_paths"] = crit_rows
-            text = json.dumps(data, indent=2, sort_keys=True)
-        else:
-            text = report.to_text()
-            if crit_rows is not None:
-                text += "\n\n" + render_critical_text(crit_rows)
-        if args.output:
-            with open(args.output, "w") as fh:
-                fh.write(text + "\n")
-            print(f"wrote fleet report to {args.output}")
-        else:
-            print(text)
-        return 0
-
-    batching = BatchingConfig(max_batch=args.max_batch,
-                              max_wait_us=args.max_wait_us)
-    report, latency_model = run_serve_report(
-        args.workload, qps=args.qps, sla_us=args.sla_us,
-        num_requests=args.requests, seed=args.seed,
-        availability=args.availability, window_us=args.window_us,
-        batching=batching, max_request_rows=args.max_request_rows,
-        exemplars=not args.no_exemplars and not args.chrome,
-        replicas=args.replicas, jobs=args.jobs)
+        served = fleet_reports[report.primary_policy]
+    else:
+        batching = BatchingConfig(max_batch=args.max_batch,
+                                  max_wait_us=args.max_wait_us)
+        report, latency_model = run_serve_report(
+            args.workload, qps=args.qps, sla_us=args.sla_us,
+            num_requests=args.requests, seed=args.seed,
+            availability=args.availability, window_us=args.window_us,
+            batching=batching, max_request_rows=args.max_request_rows,
+            exemplars=not args.no_exemplars and not args.chrome,
+            replicas=args.replicas, jobs=args.jobs)
+        served = report.serving
 
     if args.chrome:
-        trace = build_chrome_trace(report, latency_model)
-        path = args.output or f"{args.workload}.serve_trace.json"
-        with open(path, "w") as fh:
-            json.dump(trace, fh)
-        print(f"wrote merged Chrome trace to {path} "
-              f"({len(trace['traceEvents'])} events); open in "
-              "ui.perfetto.dev or chrome://tracing")
+        if args.fleet:
+            trace = build_fleet_chrome_trace(served)
+            path = args.output or f"{args.workload}.fleet_trace.json"
+        else:
+            trace = build_chrome_trace(report, latency_model)
+            path = args.output or f"{args.workload}.serve_trace.json"
+        emit(json.dumps(trace), path, "Chrome trace")
         return 0
 
-    crit_rows = (tail_critical_paths(report.serving, args.critical_k)
+    crit_rows = (tail_critical_paths(served, args.critical_k)
                  if args.critical else None)
     if args.json:
-        data = report.to_dict()
+        out = report.to_dict()
         if crit_rows is not None:
-            data["critical_paths"] = crit_rows
-        text = json.dumps(data, indent=2, sort_keys=True)
+            out["critical_paths"] = crit_rows
     else:
-        text = report.to_text()
+        out = report.to_text()
         if crit_rows is not None:
-            text += "\n\n" + render_critical_text(crit_rows)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text + "\n")
-        print(f"wrote report to {args.output}")
-    else:
-        print(text)
+            out += "\n\n" + render_critical_text(crit_rows)
+    emit(out, args.output)
     return 0
 
 

@@ -25,12 +25,13 @@ import time
 from dataclasses import replace
 from typing import List, Optional
 
+from repro.obs.cli import COUNT, POSITIVE, comma_list
 from repro.serving import fleet as _fleet
 from repro.serving.fleet import (ROUTING_POLICIES, FleetConfig,
                                  RouterConfig, TabularLatencyModel,
                                  route_requests, simulate_fleet,
                                  uniform_fleet)
-from repro.serving.traffic import trace_preset
+from repro.serving.traffic import TRACES, trace_preset
 
 #: The quickstart-shaped latency model the serving reports use.
 DEFAULT_MODEL = TabularLatencyModel(batches=(1, 4, 16, 64, 256),
@@ -76,28 +77,29 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="python -m repro.serving.fleet_check",
         description="Scalar-vs-vectorised fleet router byte-identity.")
     parser.add_argument("--trace-name", default="diurnal",
+                        choices=sorted(TRACES),
                         help="traffic preset (default %(default)s)")
-    parser.add_argument("--duration-us", type=float, default=2_000_000.0,
+    parser.add_argument("--duration-us", type=POSITIVE, default=2_000_000.0,
                         help="trace horizon in us (default 2 s)")
-    parser.add_argument("--target-qps", type=float, default=60_000.0,
+    parser.add_argument("--target-qps", type=POSITIVE, default=60_000.0,
                         help="trace target load (default %(default)s)")
-    parser.add_argument("--replicas", type=int, default=6)
-    parser.add_argument("--jobs", default="1,2",
+    parser.add_argument("--replicas", type=COUNT, default=6)
+    parser.add_argument("--jobs", type=comma_list(COUNT), default="1,2",
                         help="comma-separated job counts for the "
                         "vectorised runs (default %(default)s)")
-    parser.add_argument("--policies", default=",".join(ROUTING_POLICIES),
+    parser.add_argument("--policies",
+                        type=comma_list(choices=ROUTING_POLICIES),
+                        default=",".join(ROUTING_POLICIES),
                         help="comma-separated routing policies "
                         "(default: all)")
     args = parser.parse_args(argv)
 
-    jobs_list = [int(j) for j in args.jobs.split(",") if j]
-    policies = [p for p in args.policies.split(",") if p]
     trace = replace(trace_preset(args.trace_name,
                                  target_qps=args.target_qps),
                     duration_us=args.duration_us)
-    for policy in policies:
+    for policy in args.policies:
         try:
-            row = check_policy(policy, trace, jobs_list,
+            row = check_policy(policy, trace, args.jobs,
                                replicas=args.replicas)
         except AssertionError as exc:
             print(f"FAIL {exc}")
@@ -108,7 +110,7 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"scalar {row['ref_wall_s']:.2f}s  "
               f"vectorised {row['fast_wall_s']:.2f}s  "
               f"({speedup:.1f}x), byte-identical at --jobs "
-              f"{','.join(map(str, jobs_list))}")
+              f"{','.join(map(str, args.jobs))}")
     print(f"fleet router byte-identity held over "
           f"{args.duration_us / 1e6:.1f} s of {args.trace_name} traffic")
     return 0

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.autotune.__main__ import main
 from repro.autotune.search import key_str
 from repro.autotune.space import FCShape, MappingSpace, TBEShape
@@ -34,6 +36,11 @@ def test_speedup_is_hand_over_winner():
     report = result.to_dict()
     assert report["winner"]["beats_hand"] == (
         result.winner.sim_cycles < result.baseline.sim_cycles)
+
+
+def test_zero_seeds_is_refused():
+    with pytest.raises(ValueError, match="seeds must be >= 1, got 0"):
+        autotune(SMALL_FC, seeds=0)
 
 
 def test_multi_seed_pools_distinct_survivors():

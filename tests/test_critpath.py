@@ -1,5 +1,6 @@
 """The python -m repro.critpath CLI: schema pin, validation, chrome."""
 
+import argparse
 import json
 
 import pytest
@@ -71,7 +72,7 @@ class TestCLI:
     def test_spec_parsing(self):
         assert parse_whatif_spec("dram=1.2") == ("dram", 1.2)
         for bad in ("dram", "nope=2", "dram=abc", "dram=-1"):
-            with pytest.raises(SystemExit):
+            with pytest.raises(argparse.ArgumentTypeError):
                 parse_whatif_spec(bad)
 
     def test_text_render(self, report):
