@@ -16,6 +16,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.config import require_positive
 from repro.conformance.crossval import (CrossvalBand, crossval_fc,
                                         crossval_tbe, fuzz_fc_shape,
                                         fuzz_tbe_shape)
@@ -46,6 +47,11 @@ class ConformanceConfig:
     #: whole run fails (band checks are statistical, not bit-exact)
     max_band_violation_rate: float = 0.1
     explicit_seeds: Optional[Tuple[int, ...]] = None
+
+    def __post_init__(self) -> None:
+        require_positive(seeds=self.seeds)
+        if self.explicit_seeds is not None and not self.explicit_seeds:
+            raise ValueError("explicit_seeds must name at least one seed")
 
     def seed_list(self) -> List[int]:
         if self.explicit_seeds is not None:

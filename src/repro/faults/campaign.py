@@ -28,11 +28,13 @@ campaign — at any ``--jobs`` level — emit byte-identical JSON.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.config import require_positive
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import PERMANENT, FaultEvent, FaultPlan, FaultProfile
 from repro.parallel import parallel_map
@@ -77,6 +79,12 @@ class CampaignConfig:
     failover_slowdown: float = 1.3
     include_hardware: bool = True
     include_failover: bool = True
+
+    def __post_init__(self) -> None:
+        require_positive(seeds=self.seeds, requests=self.requests,
+                         cards=self.cards)
+        if not 0 < self.qps < math.inf:
+            raise ValueError(f"qps must be finite and > 0, got {self.qps!r}")
 
     def seed_list(self) -> List[int]:
         return [self.seed_start + i for i in range(self.seeds)]

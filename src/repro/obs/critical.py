@@ -96,8 +96,8 @@ def _label_of(callback: Callable) -> str:
     """Best label for a scheduled callback, by introspection.
 
     Bound methods of named objects (events, processes, resources) label
-    as the owner's name; ``functools.partial`` unwraps to its target;
-    anything else falls back to the qualified function name.
+    as the owner's name; anything else falls back to the qualified
+    function name.
     """
     owner = getattr(callback, "__self__", None)
     if owner is not None:
@@ -105,9 +105,6 @@ def _label_of(callback: Callable) -> str:
         if name:
             return name
         return f"{type(owner).__name__}.{callback.__name__}"
-    inner = getattr(callback, "func", None)   # functools.partial
-    if inner is not None:
-        return _label_of(inner)
     return getattr(callback, "__qualname__",
                    getattr(callback, "__name__", "callback"))
 

@@ -55,6 +55,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.config import require_positive
 from repro.serving.resilience import ResilienceConfig
 from repro.serving.simulator import (PHASES, STATUS_SERVED,
                                      BatchingConfig, OutcomeQueries,
@@ -229,12 +230,14 @@ def uniform_fleet(num_replicas: int, num_cards: int = 1, shards: int = 1,
     Racks are contiguous blocks (replicas 0..k-1 share rack 0);
     power domains stripe (replica i is on domain ``i % power_domains``)
     so the two blast radii overlap differently — a rack kill and a
-    power kill never silence the same replica set.
+    power kill never silence the same replica set.  A count below 1
+    raises ``ValueError``; more racks or power domains than replicas
+    are clamped to ``num_replicas``.
     """
-    if num_replicas < 1:
-        raise ValueError("num_replicas must be >= 1")
-    racks = max(1, min(racks, num_replicas))
-    power_domains = max(1, min(power_domains, num_replicas))
+    require_positive(num_replicas=num_replicas, racks=racks,
+                     power_domains=power_domains)
+    racks = min(racks, num_replicas)
+    power_domains = min(power_domains, num_replicas)
     per_rack = -(-num_replicas // racks)  # ceil
     return tuple(
         ReplicaSpec(replica=i, num_cards=num_cards, shards=shards,

@@ -38,12 +38,16 @@ DEFAULT_MODEL = TabularLatencyModel(batches=(1, 4, 16, 64, 256),
                                     latency_us=(60, 72, 110, 260, 860))
 
 
+class RouterMismatch(RuntimeError):
+    """The vectorised router's fleet report differs from the scalar one."""
+
+
 def check_policy(policy: str, trace, jobs_list: List[int],
                  replicas: int = 6, seed: int = 5) -> dict:
     """Byte-compare the reference and vectorised routers on ``trace``.
 
     Returns ``{"policy", "requests", "ref_wall_s", "fast_wall_s"}``;
-    raises ``AssertionError`` on any byte difference.
+    raises :class:`RouterMismatch` on any byte difference.
     """
     config = FleetConfig(
         replicas=uniform_fleet(replicas),
@@ -65,9 +69,10 @@ def check_policy(policy: str, trace, jobs_list: List[int],
         fast = simulate_fleet(DEFAULT_MODEL, trace, config, jobs=jobs)
         fast_wall = time.perf_counter() - t0
         fast_bytes = json.dumps(fast.to_dict(), sort_keys=True)
-        assert fast_bytes == ref_bytes, (
-            f"{policy} report differs from the scalar reference at "
-            f"--jobs {jobs}")
+        if fast_bytes != ref_bytes:
+            raise RouterMismatch(
+                f"{policy} report differs from the scalar reference at "
+                f"--jobs {jobs}")
     return {"policy": policy, "requests": int(ref.arrivals_us.size),
             "ref_wall_s": ref_wall, "fast_wall_s": fast_wall}
 
@@ -101,7 +106,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         try:
             row = check_policy(policy, trace, args.jobs,
                                replicas=args.replicas)
-        except AssertionError as exc:
+        except RouterMismatch as exc:
             print(f"FAIL {exc}")
             return 1
         speedup = (row["ref_wall_s"] / row["fast_wall_s"]

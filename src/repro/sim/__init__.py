@@ -8,19 +8,18 @@ circular-buffer element check, DMA engines streaming data over the NoC)
 are expressed as processes over this kernel.
 
 Scheduling has one path: callbacks run in ``(time, ticket)`` order from
-a same-timestamp FIFO deque and a :class:`CalendarQueue` of timed
-entries (see :mod:`repro.sim.engine`).  Times must be finite and never
-run backwards; violations raise :class:`SimulationError`.
+a current-time FIFO deque and a :mod:`heapq` list of timed entries;
+each instant runs the timed entries due, then the deque (see
+:mod:`repro.sim.engine`).  Times must be finite and never run
+backwards; violations raise :class:`SimulationError`.
 """
 
-from repro.sim.calendar import CalendarQueue
 from repro.sim.engine import Engine, Event, Process, SimulationError
 from repro.sim.resources import Queue, Resource, Semaphore
 from repro.sim.stats import StatGroup
 from repro.sim.trace import Span, Tracer
 
 __all__ = [
-    "CalendarQueue",
     "Engine",
     "Event",
     "Process",

@@ -1,4 +1,4 @@
-"""Event-heap kernel: engine, events, and processes.
+"""Event-queue kernel: engine, events, and processes.
 
 Time is measured in accelerator clock *cycles* (integers or floats; the
 simulator uses integers except for analytically-derived latencies).
@@ -24,26 +24,32 @@ run in ``(time, ticket)`` order.  Two structures hold them:
 
 * a FIFO deque for *immediate* callbacks — event triggers, process
   resumptions (including a wait on an event that has already fired)
-  and zero-delay timeouts, all at the current timestamp;
-* a :class:`~repro.sim.calendar.CalendarQueue` for genuine time
-  advances — a bucketed calendar queue with O(1) amortised insert/pop
-  and a numpy-promoted overflow ladder for far-future events.
+  and zero-delay timeouts, all at the current time;
+* a :mod:`heapq` list of ``(at, ticket, callback)`` for genuine time
+  advances, every one strictly later than the time it was pushed at.
 
-Whenever the time-queue head is at the current time, the run loop
-compares its ticket against the deque head's, so callbacks at equal
-timestamps execute in exactly the order a single ``(time, ticket)``
-heap would run them (``tests/property/test_engine_equivalence.py``
-proves this against a straight-heap reference kept under ``tests/``).
+Invariant: deque entries are appended at the current time, so their
+tickets are newer than every timed entry already due at that time
+(those were pushed at an earlier time).  The run loop therefore never
+compares tickets across the two structures; each instant is
+
+1. pop every timed entry due now, oldest ticket first;
+2. drain the deque FIFO (nothing it schedules can be a timed entry due
+   now — a zero delay goes to the deque);
+3. advance the clock to the next timed entry.
+
+This is exactly the order a single ``(time, ticket)`` heap runs them in
+(``tests/property/test_engine_equivalence.py`` checks it against a
+textbook single-heap kernel kept under ``tests/``).
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import deque
+from heapq import heappop, heappush
 from time import perf_counter
 from typing import Any, Callable, Generator, Iterable, List, Optional
-
-from repro.sim.calendar import CalendarQueue
 
 #: Sentinel argument for deque entries whose callback takes no argument.
 _NO_ARG = object()
@@ -53,6 +59,10 @@ _INF = float("inf")
 
 class SimulationError(RuntimeError):
     """Raised for protocol errors inside the simulation kernel."""
+
+
+def _livelock(max_events: int) -> SimulationError:
+    return SimulationError(f"exceeded {max_events} events; likely livelock")
 
 
 class Event:
@@ -90,21 +100,40 @@ class Event:
 
     def succeed(self, value: Any = None) -> "Event":
         """Trigger the event successfully, waking all waiters."""
-        if self._triggered:
-            raise SimulationError(f"event {self.name!r} already triggered")
-        self._triggered = True
-        self._value = value
-        self.engine._schedule_event(self)
+        self._trigger(value, None)
         return self
 
     def fail(self, exception: BaseException) -> "Event":
         """Trigger the event with an exception delivered to waiters."""
+        self._trigger(None, exception)
+        return self
+
+    def _trigger(self, value: Any,
+                 exception: Optional[BaseException]) -> None:
+        """Fire once, and queue every waiter at the current time."""
         if self._triggered:
             raise SimulationError(f"event {self.name!r} already triggered")
         self._triggered = True
+        self._value = value
         self._exception = exception
-        self.engine._schedule_event(self)
-        return self
+        callbacks = self._callbacks
+        if not callbacks:
+            return
+        self._callbacks = None
+        engine = self.engine
+        counter = engine._counter
+        append = engine._immediate_q.append
+        edges = engine.edges
+        if edges is None:
+            for cb in callbacks:
+                append((next(counter), cb, self))
+        else:
+            # Waiters wake in registration order, matching the order
+            # the recorder saw their ``on_wait`` registrations.
+            for cb in callbacks:
+                ticket = next(counter)
+                edges.on_wakeup(ticket, self)
+                append((ticket, cb, self))
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         engine = self.engine
@@ -188,13 +217,13 @@ class Engine:
 
     def __init__(self) -> None:
         self.now: float = 0
-        #: timed entries ordered by (at, ticket); see module docstring
-        self._timeq = CalendarQueue()
-        #: same-timestamp callbacks: (ticket, callback, arg) in ticket
-        #: order — the scheduling fast-path (see module docstring)
+        #: timed entries: a heapq list of (at, ticket, callback), all
+        #: later than the time they were pushed at (module docstring)
+        self._timeq: List[tuple] = []
+        #: current-time callbacks: (ticket, callback, arg) in ticket
+        #: order (see module docstring)
         self._immediate_q: deque = deque()
         self._counter = itertools.count()
-        self._running = False
         #: cumulative :meth:`run` statistics (events, wall time, peaks)
         self.events_processed: int = 0
         self.run_wall_s: float = 0.0
@@ -285,40 +314,22 @@ class Engine:
             if edges is not None:
                 edges.on_schedule(ticket, callback, at - now)
             timeq = self._timeq
-            timeq.push(at, ticket, callback)
-            if timeq.size > self.peak_heap_size:
-                self.peak_heap_size = timeq.size
+            heappush(timeq, (at, ticket, callback))
+            if len(timeq) > self.peak_heap_size:
+                self.peak_heap_size = len(timeq)
         elif at < now:
             raise SimulationError(
                 f"cannot schedule in the past ({at} < {now})")
         else:
             raise SimulationError(f"cannot schedule at non-finite time {at}")
 
-    def _immediate(self, callback: Callable[[], None]) -> None:
+    def _immediate(self, callback: Callable, arg: Any = _NO_ARG) -> None:
+        """Queue ``callback()`` (or ``callback(arg)``) at the current time."""
         ticket = next(self._counter)
         edges = self.edges
         if edges is not None:
             edges.on_schedule(ticket, callback, 0)
-        self._immediate_q.append((ticket, callback, _NO_ARG))
-
-    def _schedule_event(self, event: Event) -> None:
-        callbacks = event._callbacks
-        if not callbacks:
-            return
-        event._callbacks = None
-        counter = self._counter
-        append = self._immediate_q.append
-        edges = self.edges
-        if edges is None:
-            for cb in callbacks:
-                append((next(counter), cb, event))
-        else:
-            # Waiters wake in registration order, matching the order
-            # the recorder saw their ``on_wait`` registrations.
-            for cb in callbacks:
-                ticket = next(counter)
-                edges.on_wakeup(ticket, event)
-                append((ticket, cb, event))
+        self._immediate_q.append((ticket, callback, arg))
 
     # -- execution -----------------------------------------------------
     def run(self, until: Optional[float] = None,
@@ -338,53 +349,43 @@ class Engine:
                 f"cannot run until {until}: the clock is already at {now}")
         timeq = self._timeq
         imm = self._immediate_q
-        timeq_pop = timeq.pop
         popleft = imm.popleft
         processed = 0
         edges = self.edges
         wall_start = perf_counter()
         try:
             while True:
-                if imm:
-                    # The deque holds callbacks at the current time; a
-                    # timed entry at the same time with an older ticket
-                    # must still run first (global FIFO at equal
-                    # timestamps).
+                # 1. timed entries due now, oldest ticket first
+                while timeq and timeq[0][0] == now:
                     if processed >= max_events:
-                        raise SimulationError(
-                            f"exceeded {max_events} events; likely livelock")
-                    head = timeq.head
-                    if (head is not None and head[0] == now
-                            and head[1] < imm[0][0]):
-                        entry = timeq_pop()
-                        ticket = entry[1]
-                        callback = entry[2]
-                        arg = _NO_ARG
-                    else:
-                        ticket, callback, arg = popleft()
-                else:
-                    head = timeq.head
-                    if head is None:
-                        break
-                    at = head[0]
-                    if until is not None and at > until:
-                        self.now = until
-                        break
-                    if processed >= max_events:
-                        raise SimulationError(
-                            f"exceeded {max_events} events; likely livelock")
-                    entry = timeq_pop()
-                    self.now = now = at
-                    ticket = entry[1]
-                    callback = entry[2]
-                    arg = _NO_ARG
-                if edges is not None:
-                    edges.on_execute(ticket, now)
-                if arg is _NO_ARG:
+                        raise _livelock(max_events)
+                    _, ticket, callback = heappop(timeq)
+                    if edges is not None:
+                        edges.on_execute(ticket, now)
                     callback()
-                else:
-                    callback(arg)
-                processed += 1
+                    processed += 1
+                # 2. the deque, FIFO: every entry is newer than step 1's
+                while imm:
+                    if processed >= max_events:
+                        raise _livelock(max_events)
+                    ticket, callback, arg = popleft()
+                    if edges is not None:
+                        edges.on_execute(ticket, now)
+                    if arg is _NO_ARG:
+                        callback()
+                    else:
+                        callback(arg)
+                    processed += 1
+                # 3. advance to the next timed entry
+                if not timeq:
+                    break
+                at = timeq[0][0]
+                if until is not None and at > until:
+                    self.now = until
+                    break
+                if processed >= max_events:
+                    raise _livelock(max_events)   # before the clock moves
+                self.now = now = at
         finally:
             self.events_processed += processed
             self.run_wall_s += perf_counter() - wall_start
@@ -400,7 +401,7 @@ class Engine:
         ``events_per_sec_wall`` is the headline DES-throughput number
         the perf-trajectory benchmark tracks; ``peak_heap_size`` shows
         how much scheduling actually needed the time heap (the
-        same-timestamp fast-path bypasses it).
+        current-time deque bypasses it).
         """
         wall = self.run_wall_s
         return {

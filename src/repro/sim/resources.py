@@ -9,7 +9,6 @@ policies live with the hardware models in :mod:`repro.core` and
 from __future__ import annotations
 
 from collections import deque
-from functools import partial
 from typing import Any, Deque, Generator, Optional
 
 from repro.sim.engine import Engine, Event, SimulationError
@@ -123,10 +122,11 @@ class Resource:
         bit-for-bit unchanged (the equivalence suite pins this).
         """
         done = Event(self.engine, name if name is not None else self.name)
-        self.engine._immediate(partial(self._charge_begin, amount, done))
+        self.engine._immediate(self._charge_begin, (amount, done))
         return done
 
-    def _charge_begin(self, amount: float, done: Event) -> None:
+    def _charge_begin(self, job: tuple) -> None:
+        amount, done = job
         delay = self.delay_for(amount)
         # Always route completion through the scheduler — even for a
         # zero delay — so the event fires at the same queue position as

@@ -1,29 +1,29 @@
-"""Fast-path engine vs straight-heap reference — semantic equivalence.
+"""Production engine vs a textbook single-heap kernel — equivalence.
 
-The production :class:`~repro.sim.engine.Engine` routes same-timestamp
-callbacks through a FIFO deque instead of the time heap (the scheduling
-fast-path).  These tests execute randomly generated process programs on
-both the production engine and a reference engine that forces *every*
-callback through a single ``(time, ticket)`` heap — the textbook DES
-kernel — and assert the observable behaviour is identical: the exact
+The production :class:`~repro.sim.engine.Engine` keeps current-time
+callbacks in a FIFO deque next to its time heap, and runs each instant
+as "timed entries due now, then the deque".  These tests execute
+randomly generated process programs on both the production engine and
+a reference engine that puts *every* callback into one ``(time,
+ticket)`` heap and pops it with its own loop — the textbook DES kernel
+— and assert the observable behaviour is identical: the exact
 interleaving of process steps, wake-up values, failure delivery, final
 simulation time, and the event count.
 """
+
+from heapq import heappop, heappush
 
 from hypothesis import given, settings
 
 from repro.sim.engine import _NO_ARG, Engine, SimulationError
 from tests import strategies as shared
-from tests.sim.heap_queue import HeapTimeQueue
 
 
 class _HeapShunt:
-    """Deque stand-in that reroutes every append to the time queue.
+    """Deque stand-in that reroutes every append into the time heap.
 
-    ``Engine.run`` only touches ``_immediate_q`` when it is truthy, so
-    a permanently-falsy shunt forces the run loop down the pure-heap
-    path while preserving the global ticket order (tickets are drawn by
-    the callers before the append).
+    Tickets are drawn by the callers before the append, so the entry
+    keeps its place in the global ticket order.
     """
 
     def __init__(self, engine):
@@ -34,33 +34,44 @@ class _HeapShunt:
         if arg is not _NO_ARG:
             def callback(callback=callback, arg=arg):
                 return callback(arg)
-        self._engine._timeq.push(self._engine.now, ticket, callback)
-
-    def popleft(self):
-        # run() binds this attribute up front but can never call it:
-        # the shunt is permanently falsy.
-        raise AssertionError("straight-heap reference used the deque")
+        heappush(self._engine._timeq, (self._engine.now, ticket, callback))
 
     def __bool__(self):
         return False
-
-    def __len__(self):
-        return 0
 
 
 class StraightHeapEngine(Engine):
     """The reference kernel: one binary heap, ordered by (time, ticket).
 
-    Both the calendar-queue structure *and* the FIFO fast path are
-    stripped: timed entries go to a plain :class:`HeapTimeQueue`, and
-    every would-be immediate callback is shunted into it at the current
-    time — the textbook single-heap DES kernel.
+    Every would-be deque callback is shunted into the heap at the
+    current time, and :meth:`run` is the textbook loop — pop the
+    smallest ``(time, ticket)``, set the clock, call it — so the
+    production loop is never checked against itself.
     """
 
     def __init__(self):
         super().__init__()
-        self._timeq = HeapTimeQueue()
         self._immediate_q = _HeapShunt(self)
+
+    def run(self, until=None, max_events=100_000_000):
+        heap = self._timeq
+        processed = 0
+        try:
+            while heap:
+                at = heap[0][0]
+                if until is not None and at > until:
+                    self.now = until
+                    break
+                if processed >= max_events:
+                    raise SimulationError(
+                        f"exceeded {max_events} events; likely livelock")
+                _, _, callback = heappop(heap)
+                self.now = at
+                callback()
+                processed += 1
+        finally:
+            self.events_processed += processed
+        return self.now
 
 
 def _execute(engine_cls, spec, until):
@@ -141,7 +152,6 @@ def test_reference_engine_is_really_heap_only():
     engine.timeout(0)
     engine.timeout(1)
     assert not engine._immediate_q
-    assert isinstance(engine._timeq, HeapTimeQueue)
-    assert engine._timeq.size == 2
-    engine.run()
-    assert engine.now == 1
+    assert len(engine._timeq) == 2
+    assert engine.run() == 1
+    assert engine.events_processed == 2

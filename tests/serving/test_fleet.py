@@ -332,6 +332,19 @@ class TestConfigValidation:
         assert [s.rack for s in specs] == [0, 0, 0, 1, 1, 1]
         assert [s.power_domain for s in specs] == [0, 1, 2, 0, 1, 2]
 
+    @pytest.mark.parametrize("name", ["num_replicas", "racks",
+                                      "power_domains"])
+    @pytest.mark.parametrize("value", [0, -2])
+    def test_uniform_fleet_rejects_non_positive_counts(self, name, value):
+        counts = {"num_replicas": 4, "racks": 2, "power_domains": 2}
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+            uniform_fleet(**{**counts, name: value})
+
+    def test_uniform_fleet_clamps_topology_to_the_replica_count(self):
+        specs = uniform_fleet(3, racks=8, power_domains=5)
+        assert [s.rack for s in specs] == [0, 1, 2]
+        assert [s.power_domain for s in specs] == [0, 1, 2]
+
     def test_autoscale_validation(self):
         with pytest.raises(ValueError):
             AutoscaleConfig(min_replicas=5, max_replicas=2)

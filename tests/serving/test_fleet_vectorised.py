@@ -116,6 +116,43 @@ class TestFleetByteIdentity:
             assert f"ok {policy}" in out
         assert "byte-identity held" in out
 
+    def test_fleet_check_fails_on_a_mismatching_report(self, monkeypatch,
+                                                       capsys):
+        """A vectorised report one key away from the reference fails the
+        gate with an exception, not an ``assert`` that ``python -O``
+        strips, and the CLI exits non-zero."""
+        from repro.serving import fleet_check
+
+        real = fleet_check.simulate_fleet
+
+        class Tampered:
+            def __init__(self, report):
+                self.arrivals_us = report.arrivals_us
+                self._report = report.to_dict()
+
+            def to_dict(self):
+                return {**self._report, "tampered": True}
+
+        def tampered_fast_run(model, trace, config, jobs=1):
+            report = real(model, trace, config, jobs=jobs)
+            if fleet_mod.route_requests_vectorised is route_requests:
+                return report           # the scalar reference run
+            return Tampered(report)
+
+        monkeypatch.setattr(fleet_check, "simulate_fleet",
+                            tampered_fast_run)
+        trace = replace(trace_preset("diurnal", target_qps=150_000.0),
+                        duration_us=4_000.0)
+        with pytest.raises(fleet_check.RouterMismatch,
+                           match="round_robin report differs .* --jobs 2"):
+            fleet_check.check_policy("round_robin", trace, [2],
+                                     replicas=3)
+        assert fleet_check.main(["--duration-us", "4000",
+                                 "--target-qps", "150000", "--jobs", "1",
+                                 "--replicas", "3",
+                                 "--policies", "round_robin"]) == 1
+        assert "FAIL round_robin report differs" in capsys.readouterr().out
+
     def test_fleet_json_identical_across_jobs(self):
         trace = replace(trace_preset("spike", target_qps=120_000.0),
                         duration_us=30_000.0)

@@ -61,7 +61,7 @@ class TestScheduling:
             engine.schedule(at, lambda: None)
         with pytest.raises(SimulationError, match="non-finite"):
             engine.timeout(at)
-        assert engine._timeq.size == 0
+        assert not engine._timeq
 
 
 class TestProcesses:
@@ -280,3 +280,88 @@ class TestMaxEventsBoundary:
         with pytest.raises(SimulationError, match="livelock"):
             engine.run(max_events=5)
         assert ran == [0, 1, 2, 3, 4]
+
+
+class TestTimeQueue:
+    """Edges of the heap-plus-deque schedule: the order each instant
+    runs in, far-future entries, ``until`` and the ``max_events``
+    guard."""
+
+    def test_due_timers_run_before_deque_entries_they_append(self, engine):
+        """Two timed entries due at ``t``: the deque entry the first
+        one appends is newer than the second, so it runs last."""
+        order = []
+
+        def first():
+            order.append("timer 1")
+            engine.schedule(engine.now, lambda: order.append("deque"))
+
+        engine.schedule(4, first)
+        engine.schedule(4, lambda: order.append("timer 2"))
+        engine.run()
+        assert order == ["timer 1", "timer 2", "deque"]
+        assert engine.now == 4
+
+    def test_zero_delay_self_reschedule_storm(self, engine):
+        """Processes re-arming zero timeouts interleave FIFO-fairly."""
+        order = []
+
+        def storm(pid, n):
+            for i in range(n):
+                yield engine.timeout(0)
+                order.append((engine.now, pid, i))
+
+        engine.process(storm("a", 50))
+        engine.process(storm("b", 50))
+        engine.run()
+        assert engine.now == 0
+        # Strict round-robin: both processes alternate at time zero.
+        assert order == [(0, pid, i) for i in range(50) for pid in ("a", "b")]
+
+    def test_far_future_timeouts_fire_in_order(self, engine):
+        delays = [0, 1, 4095, 4099, 1e9, 2.5e12, 1e15]
+        fired = []
+        for d in reversed(delays):
+            engine.timeout(d).add_callback(
+                lambda ev, d=d: fired.append((engine.now, d)))
+        engine.run()
+        assert fired == [(d, d) for d in delays]
+        assert engine.now == 1e15
+        assert engine.peak_heap_size == len(delays) - 1
+
+    def test_max_events_guard_with_far_future_entries(self, engine):
+        """The guard raises before the 4th callback and before the clock
+        moves to it."""
+
+        def ticker():
+            for _ in range(10):
+                yield 1e12   # each resume is one timed callback
+
+        engine.process(ticker())
+        with pytest.raises(SimulationError, match="livelock"):
+            engine.run(max_events=3)
+        assert engine.events_processed == 3
+        assert engine.now == 2e12
+
+    def test_exactly_max_events_completes_with_far_future_entries(
+            self, engine):
+        fired = []
+        for i in range(3):
+            engine.timeout((i + 1) * 1e12).add_callback(
+                lambda ev, i=i: fired.append(i))
+        # Each timeout costs two callbacks: the succeed, then the waiter.
+        engine.run(max_events=6)
+        assert fired == [0, 1, 2]
+        assert engine.now == 3e12
+
+    def test_run_until_between_entries(self, engine):
+        """``until`` between two instants stops the clock there; the
+        later entry stays queued and runs on the next ``run``."""
+        ran = []
+        engine.schedule(3, lambda: ran.append(3))
+        engine.schedule(8, lambda: ran.append(8))
+        assert engine.run(until=5) == 5
+        assert ran == [3]
+        assert engine.run(until=8) == 8   # an entry at ``until`` runs
+        assert ran == [3, 8]
+        assert not engine._timeq
