@@ -7,9 +7,6 @@ asserts the qualitative reproduction targets from DESIGN.md.
 
 import os
 
-import numpy as np
-import pytest
-
 #: every emit() block of the session, written to bench_artifacts.txt
 _ARTIFACTS = []
 
@@ -38,12 +35,3 @@ def pytest_sessionfinish(session, exitstatus):
                  "session regenerated.\n\n")
         fh.write("\n\n".join(_ARTIFACTS))
         fh.write("\n")
-
-
-@pytest.fixture
-def once(benchmark):
-    """Run the benched callable exactly once (DES runs are long)."""
-    def runner(fn, *args, **kwargs):
-        return benchmark.pedantic(fn, args=args, kwargs=kwargs,
-                                  rounds=1, iterations=1)
-    return runner

@@ -26,7 +26,7 @@ from repro.kernels.tbe import TBEConfig, generate_indices, run_tbe
 from repro.memory import SRAMMode
 
 
-def test_multicast_ablation(once):
+def test_multicast_ablation():
     """Section 3.5: coalescing reads 'reduces memory bandwidth and
     increases the energy efficiency of data movement'."""
     def run_pair():
@@ -40,7 +40,7 @@ def test_multicast_ablation(once):
                                   acc.memory.dram.stats["read_bytes"])
         return results
 
-    results = once(run_pair)
+    results = run_pair()
     on_cycles, on_bytes = results[True]
     off_cycles, off_bytes = results[False]
     operand_bytes = 256 * 512 + 128 * 512
@@ -56,7 +56,7 @@ def test_multicast_ablation(once):
     assert on_cycles <= off_cycles
 
 
-def test_dual_core_ablation(once):
+def test_dual_core_ablation():
     """Section 7: the dual-core PE gives 'twice the overall instruction
     throughput' when an operator is instruction bound."""
     # Model a command-heavy code-generation path (the Section 7
@@ -74,7 +74,7 @@ def test_dual_core_ablation(once):
             results[dual] = result.cycles
         return results
 
-    results = once(run_pair)
+    results = run_pair()
     emit("Ablation: dual-core PE (instruction-bound FC, issue=40cyc)", [
         f"dual core:   {results[True]:.0f} cycles",
         f"single core: {results[False]:.0f} cycles "
@@ -83,7 +83,7 @@ def test_dual_core_ablation(once):
     assert results[False] > 1.08 * results[True]
 
 
-def test_cluster_hierarchy_ablation(once):
+def test_cluster_hierarchy_ablation():
     """Section 7: 'having another level of hierarchy ... clusters of
     PEs, might have made this problem easier' — cluster-granular
     firmware pays far less setup for a burst of small jobs."""
@@ -105,7 +105,7 @@ def test_cluster_hierarchy_ablation(once):
             results[cluster] = stats
         return results
 
-    results = once(run_pair)
+    results = run_pair()
     emit("Ablation: firmware granularity (16 small FC jobs)", [
         f"per-PE management:  setup {results[1].total_setup_cycles:.0f} "
         f"cycles, makespan {results[1].makespan:.0f}",
@@ -117,7 +117,7 @@ def test_cluster_hierarchy_ablation(once):
     assert results[2].completed == results[1].completed == 16
 
 
-def test_reduction_network_ablation(once):
+def test_reduction_network_ablation():
     """Section 3.5: the dedicated reduction network avoids saving and
     restoring partial sums in memory and offloads the main NoC —
     measured against a bit-exact memory-reduce counterfactual."""
@@ -155,7 +155,7 @@ def test_reduction_network_ablation(once):
                        energy(acc2, r2.cycles)),
         }
 
-    results = once(run_pair)
+    results = run_pair()
     rn_cycles, rn_noc, rn_dram, rn_energy = results["rednet"]
     mr_cycles, mr_noc, mr_dram, mr_energy = results["memory"]
     emit("Ablation: reduction network vs memory round-trip "
@@ -176,7 +176,7 @@ def test_reduction_network_ablation(once):
     assert mr_energy > rn_energy
 
 
-def test_sram_cache_skew_ablation(once):
+def test_sram_cache_skew_ablation():
     """Section 6.1: the cache-mode SRAM exploits 'locality across and
     within batches' — visible under production-like skewed indices."""
     cfg = TBEConfig(num_tables=4, rows_per_table=200_000, embedding_dim=128,
@@ -192,7 +192,7 @@ def test_sram_cache_skew_ablation(once):
             results[tag] = (result.cycles, acc.memory.sram.hit_rate())
         return results
 
-    results = once(run_pair)
+    results = run_pair()
     emit("Ablation: SRAM cache under index skew (TBE)", [
         f"uniform indices: {results['uniform'][0]:.0f} cycles, "
         f"cache hit rate {results['uniform'][1]:.2f}",

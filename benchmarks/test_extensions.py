@@ -22,7 +22,7 @@ from repro.runtime import GraphExecutor
 from repro.runtime.multi_card import estimate_multi_card
 
 
-def test_eager_vs_graph_mode(benchmark):
+def test_eager_vs_graph_mode():
     """Section 5: graph compilation exists because eager execution
     leaves launch overhead and DRAM round trips on the table."""
     def measure():
@@ -37,7 +37,7 @@ def test_eager_vs_graph_mode(benchmark):
             results[model] = (eager.total_seconds, compiled.total_seconds)
         return results
 
-    results = benchmark.pedantic(measure, rounds=1, iterations=1)
+    results = measure()
     lines = []
     for model, (eager_s, graph_s) in results.items():
         lines.append(f"{model}: eager {eager_s * 1e6:.0f} us -> graph "
@@ -51,7 +51,7 @@ def test_eager_vs_graph_mode(benchmark):
             > results["LC2"][0] / results["LC2"][1])
 
 
-def test_multi_card_hc_scaling(benchmark):
+def test_multi_card_hc_scaling():
     """HC (725 GB) must span >=23 Yosemite-V3 cards; the gather over
     PCIe is the distribution tax."""
     def measure():
@@ -61,7 +61,7 @@ def test_multi_card_hc_scaling(benchmark):
         nvlink = estimate_multi_card(graph, MACHINES["mtia"], p2p_gbs=80.0)
         return pcie, nvlink
 
-    pcie, nvlink = benchmark.pedantic(measure, rounds=1, iterations=1)
+    pcie, nvlink = measure()
     emit("Extension: HC multi-card inference (batch 64)", [
         f"cards: {pcie.cards}",
         f"phases (PCIe 12.8 GB/s): sparse {pcie.sparse_seconds * 1e6:.0f} "
@@ -77,7 +77,7 @@ def test_multi_card_hc_scaling(benchmark):
     assert 0 < pcie.scaling_efficiency < 0.5
 
 
-def test_serving_fleet_power(benchmark):
+def test_serving_fleet_power():
     """Fleet kilowatts to serve 1M QPS of LC2 under a 2 ms p99 SLA."""
     from repro.serving import BatchingConfig, plan_capacity
 
@@ -87,7 +87,7 @@ def test_serving_fleet_power(benchmark):
                              batching=BatchingConfig(max_batch=128,
                                                      max_wait_us=300))
 
-    plans = benchmark.pedantic(measure, rounds=1, iterations=1)
+    plans = measure()
     lines = [f"{p.platform}: {p.cards} cards, "
              f"{p.total_watts / 1000:.1f} kW, {p.qps_per_watt:.0f} QPS/W"
              for p in plans.values()]

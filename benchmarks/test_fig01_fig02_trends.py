@@ -6,8 +6,8 @@ from repro.models.trends import (compute_memory_gap, figure1_series,
                                  figure2_series)
 
 
-def test_figure1_scaling_trends(benchmark):
-    points = benchmark(figure1_series)
+def test_figure1_scaling_trends():
+    points = figure1_series()
     emit("Figure 1: inference model scaling trends", [
         f"{p.year}: complexity={p.complexity_gflops:.3f} GF/sample, "
         f"total={p.total_footprint_gb:.0f} GB, "
@@ -25,8 +25,8 @@ def test_figure1_scaling_trends(benchmark):
         assert p.table_footprint_gb > 0.9 * p.total_footprint_gb
 
 
-def test_figure2_server_demand(benchmark):
-    series = benchmark(figure2_series)
+def test_figure2_server_demand():
+    series = figure2_series()
     emit("Figure 2: inference server demand (normalised units)", [
         f"{p.year_quarter}: CPU={p.cpu:.0f} NNPI={p.nnpi:.0f} "
         f"GPU={p.gpu:.0f}"

@@ -29,8 +29,8 @@ def _emit_fc(title, rows):
     emit(title, lines)
 
 
-def test_fig10_int8_fc(benchmark):
-    rows = benchmark(fc_bench, "int8")
+def test_fig10_int8_fc():
+    rows = fc_bench("int8")
     _emit_fc("Figure 10: INT8 FC perf/W (TFLOPS/s/W)", rows)
     ratios = [r.ratio_vs_gpu for r in rows]
     # "In many cases, MTIA achieves 2x or greater performance per Watt"
@@ -44,8 +44,8 @@ def test_fig10_int8_fc(benchmark):
     assert all(a >= b * 0.95 for a, b in zip(ratios, ratios[1:]))
 
 
-def test_fig11_fp16_fc(benchmark):
-    rows = benchmark(fc_bench, "fp16")
+def test_fig11_fp16_fc():
+    rows = fc_bench("fp16")
     _emit_fc("Figure 11: FP16 FC perf/W (TFLOPS/s/W)", rows)
     ratios = [r.ratio_vs_gpu for r in rows]
     assert ratios[0] > 2.0
@@ -56,7 +56,7 @@ def test_fig11_fp16_fc(benchmark):
         assert r16 == pytest.approx(r8, rel=0.25)
 
 
-def test_fc_simulated_ground_truth(once):
+def test_fc_simulated_ground_truth():
     """The Figure 7 example shape on the cycle-level simulator."""
     def run():
         acc = Accelerator()
@@ -64,7 +64,7 @@ def test_fc_simulated_ground_truth(once):
                         subgrid=acc.subgrid((0, 0), 4, 4), k_split=2)
         return acc, result
 
-    acc, result = once(run)
+    acc, result = run()
     rng = np.random.default_rng(0)
     a = rng.integers(-128, 128, (512, 1024), dtype=np.int8)
     b_t = rng.integers(-128, 128, (256, 1024), dtype=np.int8)

@@ -15,8 +15,8 @@ from repro.eval.figures import tbe_bench
 from repro.kernels.tbe import TBEConfig, run_tbe
 
 
-def test_fig12_tbe_perf_per_watt(benchmark):
-    rows = benchmark(tbe_bench)
+def test_fig12_tbe_perf_per_watt():
+    rows = tbe_bench()
     lines = [f"{'(pooling,rows,dim)':<24}{'MTIA GB/s/W':>12}"
              f"{'GPU GB/s/W':>12}{'ratio':>8}{'MTIA %BW':>10}"]
     for r in rows:
@@ -39,8 +39,8 @@ def test_fig12_tbe_perf_per_watt(benchmark):
     assert ratios[0] == max(ratios)
 
 
-def test_fig12_hand_tuned_headroom(benchmark):
-    rows = benchmark(tbe_bench, hand_tuned=True)
+def test_fig12_hand_tuned_headroom():
+    rows = tbe_bench(hand_tuned=True)
     best = max(r.gbs_w["mtia"] for r in rows)
     emit("Figure 12 headroom: hand-tuned kernel regime",
          [f"best hand-tuned: {best:.2f} GB/s/W "
@@ -50,7 +50,7 @@ def test_fig12_hand_tuned_headroom(benchmark):
     assert best * MTIA_V1.dram_gbs() / MTIA_V1.dram_gbs() > 1.0
 
 
-def test_fig12_simulated_pipelining_gap(once):
+def test_fig12_simulated_pipelining_gap():
     """Cycle-level evidence for the 10-20 % vs >60 % software gap."""
     cfg = TBEConfig(num_tables=8, rows_per_table=50_000, embedding_dim=128,
                     pooling_factor=32, batch_size=16)
@@ -63,7 +63,7 @@ def test_fig12_simulated_pipelining_gap(once):
         deep = run_tbe(acc2, cfg, subgrid=acc2.subgrid(), prefetch_rows=16)
         return shallow, deep
 
-    shallow, deep = once(run_both)
+    shallow, deep = run_both()
     freq = MTIA_V1.frequency_ghz
     shallow_frac = shallow.gbs(freq) / MTIA_V1.dram_gbs()
     deep_frac = deep.gbs(freq) / MTIA_V1.dram_gbs()

@@ -18,8 +18,8 @@ from repro.kernels.quantize import run_quantize
 from repro.memory import SRAMMode
 
 
-def test_fig13_analytical(benchmark):
-    rows = benchmark(other_operators_bench)
+def test_fig13_analytical():
+    rows = other_operators_bench()
     lines = [f"{'operator':<14}{'placement':>10}{'GB/s':>8}{'%BW':>7}"]
     for r in rows:
         lines.append(f"{r.operator:<14}{r.placement:>10}"
@@ -40,7 +40,7 @@ def test_fig13_analytical(benchmark):
         assert by[(op, "sram")].achieved_gbs > by[(op, "dram")].achieved_gbs
 
 
-def test_fig13_simulated_placement_gap(once):
+def test_fig13_simulated_placement_gap():
     """Run real kernels under both placements on the DES.
 
     Both accelerators use scratchpad mode so the DRAM placement truly
@@ -74,7 +74,7 @@ def test_fig13_simulated_placement_gap(once):
                 subgrid=acc.subgrid()).gbs(0.8)
         return results
 
-    results = once(run_all)
+    results = run_all()
     lines = [f"{'operator':<12}{'SRAM GB/s':>12}{'DRAM GB/s':>12}{'gap':>7}"]
     for op in ("Transpose", "Tanh", "Quantize", "Concat"):
         sram = results[(op, "sram")]

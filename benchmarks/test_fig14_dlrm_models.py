@@ -9,9 +9,8 @@ from repro.models.configs import MODEL_ZOO
 from repro.models.dlrm import model_flops
 
 
-def test_fig14_dlrm_perf_per_watt(benchmark):
-    rows = benchmark.pedantic(dlrm_bench, kwargs={"batch": 256},
-                              rounds=1, iterations=1)
+def test_fig14_dlrm_perf_per_watt():
+    rows = dlrm_bench(batch=256)
     lines = [f"{'model':<6}{'MTIA':>10}{'GPU':>10}{'NNPI':>10}"
              f"{'vs GPU':>9}{'vs NNPI':>9}"]
     for r in rows:
@@ -43,13 +42,13 @@ def test_fig14_dlrm_perf_per_watt(benchmark):
     assert all(r.ratio_vs_nnpi > 1.0 for r in rows)
 
 
-def test_fig14_batch_sensitivity(benchmark):
+def test_fig14_batch_sensitivity():
     """MTIA's advantage is largest at serving batch sizes."""
     def sweep():
         return {batch: dlrm_bench(batch=batch, model_names=["MC1"])[0]
                 for batch in (64, 256, 1024)}
 
-    rows = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    rows = sweep()
     lines = [f"batch {batch}: MTIA/GPU = {row.ratio_vs_gpu:.2f}"
              for batch, row in rows.items()]
     emit("Figure 14 ablation: MC1 ratio vs batch", lines)

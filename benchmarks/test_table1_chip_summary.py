@@ -7,8 +7,8 @@ from repro.config import MTIA_V1
 from repro.eval.tables import table_i
 
 
-def test_table_i_summary(benchmark):
-    rows = benchmark(table_i)
+def test_table_i_summary():
+    rows = table_i()
     emit("Table I: MTIA features and parameters",
          [f"{key}: {value}" for key, value in rows.items()])
     # Headline numbers from the paper, derived (not transcribed):
@@ -24,11 +24,11 @@ def test_table_i_summary(benchmark):
     assert rows["Off-chip DRAM capacity (GB)"] == 64
 
 
-def test_grid_arithmetic_consistency(benchmark):
+def test_grid_arithmetic_consistency():
     def derive():
         macs = MTIA_V1.dpe.int8_macs_per_cycle
         return macs * MTIA_V1.num_pes * MTIA_V1.frequency_ghz * 2 / 1e3
 
-    tops = benchmark(derive)
+    tops = derive()
     # 1024 MACs x 64 PEs x 0.8 GHz x 2 = the Table I GEMM figure.
     assert tops == pytest.approx(MTIA_V1.gemm_tops("int8"))

@@ -7,8 +7,8 @@ from repro.eval.tables import format_table, table_ii
 from repro.platforms import YOSEMITE_V2, YOSEMITE_V3, ZION_4S
 
 
-def test_table_ii(benchmark):
-    rows = benchmark(table_ii)
+def test_table_ii():
+    rows = table_ii()
     emit("Table II: inference hardware platforms",
          format_table(rows).splitlines())
     # Power accounting matches the published percentages.

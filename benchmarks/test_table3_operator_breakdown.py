@@ -16,8 +16,8 @@ def _emit_breakdown(batch, ours):
     emit(f"Table III: operator breakdown, MC1, batch {batch}", lines)
 
 
-def test_table_iii_batch_64(benchmark):
-    ours = benchmark.pedantic(table_iii, args=(64,), rounds=1, iterations=1)
+def test_table_iii_batch_64():
+    ours = table_iii(64)
     _emit_breakdown(64, ours)
     # FC dominates at batch 64 (paper: 42.1 %), EB second (31.2 %).
     assert ours["fc"] == max(ours.values())
@@ -26,8 +26,8 @@ def test_table_iii_batch_64(benchmark):
     assert ours["fc"] + ours["eb"] > 55
 
 
-def test_table_iii_batch_256(benchmark):
-    ours = benchmark.pedantic(table_iii, args=(256,), rounds=1, iterations=1)
+def test_table_iii_batch_256():
+    ours = table_iii(256)
     _emit_breakdown(256, ours)
     # At batch 256 FC and EB together still dominate (~62 % in the
     # paper) and the FC share has dropped from its batch-64 level.

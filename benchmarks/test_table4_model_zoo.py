@@ -8,8 +8,8 @@ from repro.models.configs import MODEL_ZOO, TABLE_IV_TARGETS
 from repro.models.dlrm import build_dlrm_graph, operator_census
 
 
-def test_table_iv(benchmark):
-    rows = benchmark(table_iv)
+def test_table_iv():
+    rows = table_iv()
     lines = [f"{'model':<6}{'paper GB':>10}{'ours GB':>10}"
              f"{'paper GF':>10}{'ours GF':>10}"]
     for name, (size_gb, gflops) in TABLE_IV_TARGETS.items():
@@ -24,10 +24,8 @@ def test_table_iv(benchmark):
             gflops, rel=0.05)
 
 
-def test_mc1_structure_matches_section_6_1(benchmark):
-    census = benchmark.pedantic(
-        lambda: operator_census(build_dlrm_graph(MODEL_ZOO["MC1"], 64)),
-        rounds=1, iterations=1)
+def test_mc1_structure_matches_section_6_1():
+    census = operator_census(build_dlrm_graph(MODEL_ZOO["MC1"], 64))
     emit("MC1 operator census",
          [f"{op}: {count}" for op, count in sorted(census.items())])
     # "approximately 750 layers with nearly 550 consisting of EB

@@ -142,18 +142,11 @@ def _bench_dlrm(autotuned: bool = False) -> Dict:
     """LC2 quickstart through the compiled-graph analytical path.
 
     Besides the analytical estimate (the headline metrics, unchanged
-    from earlier trajectory rows), the workload now also exercises the
-    two end-to-end perf layers this repo tracks:
-
-    * one representative DLRM MLP layer on the cycle-level simulator,
-      so the dlrm row carries the same DES-kernel throughput extras
-      (``events_processed`` / ``events_per_sec_wall``) as fc/tbe;
-    * a cold-then-warm graph execution through the per-op result cache
-      (``executor_cold_wall_s`` / ``executor_warm_wall_s``), the number
-      the warm-sweep speedup claim is measured by.
+    from earlier trajectory rows), the workload runs one representative
+    DLRM MLP layer on the cycle-level simulator, so the dlrm row carries
+    the same DES-kernel throughput extras (``events_processed`` /
+    ``events_per_sec_wall``) as fc/tbe.
     """
-    import numpy as np
-
     from repro.core.accelerator import Accelerator
     from repro.eval.machines import MACHINES
     from repro.eval.opmodel import estimate_graph
@@ -161,7 +154,6 @@ def _bench_dlrm(autotuned: bool = False) -> Dict:
     from repro.models.configs import MODEL_ZOO
     from repro.models.dlrm import build_dlrm_graph, model_flops
     from repro.runtime.executor import GraphExecutor
-    from repro.simcache import GraphOpCache
 
     batch = 64
     machine = MACHINES["mtia"]
@@ -191,30 +183,6 @@ def _bench_dlrm(autotuned: bool = False) -> Dict:
     extras["des_op"] = f"fc m={batch} k=128 n=128 int8"
     extras.update(_engine_extras(acc))
 
-    # Cold vs warm full-graph execution through the per-op cache.
-    rng = np.random.default_rng(0)
-    feeds = {}
-    for node in graph:
-        if node.op == "input":
-            dt = node.meta.dtype.numpy_dtype
-            if np.issubdtype(dt, np.integer):
-                feeds[node.name] = rng.integers(
-                    0, 100, node.meta.shape).astype(dt)
-            else:
-                feeds[node.name] = rng.standard_normal(
-                    node.meta.shape).astype(dt)
-    op_cache = GraphOpCache()
-    t0 = time.perf_counter()
-    GraphExecutor(machine, mode="graph", op_cache=op_cache).run(
-        graph.copy(), feeds)
-    cold = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    GraphExecutor(machine, mode="graph", op_cache=op_cache).run(
-        graph.copy(), feeds)
-    warm = time.perf_counter() - t0
-    extras["executor_cold_wall_s"] = cold
-    extras["executor_warm_wall_s"] = warm
-    extras["graph_cache_warm_speedup"] = cold / warm if warm > 0 else 0.0
     return {
         "latency_us": seconds * 1e6,
         "achieved_tflops": flops / seconds / 1e12 if seconds else 0.0,

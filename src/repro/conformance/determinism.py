@@ -68,7 +68,7 @@ class DeterminismResult:
     """Violations found while replaying one seed (empty == pass)."""
 
     seed: int
-    kind: str                       #: the check kind, e.g. "graph-cache"
+    kind: str                       #: the check kind, e.g. "cache"
     violations: List[str] = field(default_factory=list)
     cycles: float = 0.0
 
@@ -312,11 +312,10 @@ def _tbe(subject: Dict, **accelerator) -> Dict:
     return _kernel_fields(acc, result.cycles, result.output)
 
 
-def _graph(case, weights=None, **executor) -> Dict:
+def _graph(case, **executor) -> Dict:
     """Execute a fuzzed graph; ``cycles`` is the modelled seconds."""
     outputs, report = GraphExecutor(**{"mode": "graph", **executor}).run(
-        case.graph.copy(), case.feeds,
-        case.weights if weights is None else weights)
+        case.graph.copy(), case.feeds, case.weights)
     obs = {"cycles": report.seconds, "output names": sorted(outputs)}
     obs.update((f"output {name!r}", out) for name, out in outputs.items())
     return obs
@@ -375,8 +374,6 @@ def _autotune(t: Dict, **knobs) -> Dict:
 
 _fc_observed = partial(_fc, observe=True)
 _tbe_observed = partial(_tbe, observe=True)
-# ``False`` forces the op cache off even if REPRO_GRAPH_CACHE is set.
-_graph_uncached = partial(_graph, op_cache=False)
 _serve_300 = partial(_serve, num_requests=300)
 
 
@@ -392,12 +389,6 @@ def _sim_cache():
     from repro.simcache import SimCache
 
     return SimCache()
-
-
-def _op_cache():
-    from repro.simcache import GraphOpCache
-
-    return GraphOpCache()
 
 
 REPLAY = _knobs("replay")
@@ -501,45 +492,6 @@ def _sim_cache_misses_once_then_hits(shape: Dict) -> List[str]:
     if stats["misses"] != 1 or stats["hits"] != 1:
         return [f"expected exactly one miss then one hit, got {stats}"]
     return []
-
-
-def _op_cache_spares_the_off_cone(case) -> List[str]:
-    found = []
-    cache = _op_cache()
-    _graph(case, op_cache=cache)
-    if cache.hits != 0 or cache.misses == 0:
-        found.append(f"cold run expected only misses, got {cache.stats()}")
-    misses_cold = cache.misses
-    _graph(case, op_cache=cache)
-    if cache.misses != misses_cold:
-        found.append(f"warm run missed {cache.misses - misses_cold} ops; "
-                     "expected every compute op to hit")
-
-    # Perturb one weight: downstream cone recomputes, the rest replays.
-    # Pick the *last* weight in node order — its downstream cone is the
-    # smallest, so the spared-operator assertion below has teeth even on
-    # mostly-sequential DLRM chains.
-    bound = [n.name for n in case.graph
-             if n.op == "weight" and n.name in case.weights]
-    if not bound:
-        return found
-    edited = dict(case.weights)
-    edited[bound[-1]] = edited[bound[-1]] + np.ones_like(edited[bound[-1]])
-    fresh = _graph_uncached(case, weights=edited)
-    hits_before, misses_before = cache.hits, cache.misses
-    partial_warm = _graph(case, weights=edited, op_cache=cache)
-    found += [f"partial-warm (one weight edited) changed {name}"
-              for name in _differences(fresh, partial_warm)]
-    new_misses = cache.misses - misses_before
-    if new_misses == 0:
-        found.append("editing a weight caused no recomputation — stale hit")
-    if new_misses >= misses_cold:
-        found.append(f"editing one weight invalidated every op "
-                     f"({new_misses}/{misses_cold} recomputed); chained "
-                     "fingerprints should spare the off-cone operators")
-    if cache.hits == hits_before:
-        found.append("partial-warm run replayed nothing from cache")
-    return found
 
 
 def _empty_plan_aborts_nothing(s: _Serving) -> List[str]:
@@ -658,14 +610,6 @@ CHECKS = (
           "a cache hit replays the fresh result bit for bit"),
     Check("cache", "cache", "fc", _sim_cache_misses_once_then_hits, None,
           "the sim cache is content-addressed"),
-    Check("graph_cache", "cache", "graph", _graph_uncached,
-          _fresh("a cold op cache", op_cache=_op_cache),
-          "per-op cache misses compute the fresh result"),
-    Check("graph_cache", "cache", "graph", _graph_uncached,
-          _fresh("a warm op cache", warm=True, op_cache=_op_cache),
-          "per-op cache hits replay the fresh result"),
-    Check("graph_cache", "cache", "graph", _op_cache_spares_the_off_cone,
-          None, "chained fingerprints recompute exactly an edit's cone"),
     Check("faults", "faults", "fc", _fc_observed, EMPTY_FAULT_PLAN,
           "faults are opt-in per event, never ambient"),
     Check("faults", "faults", "tbe", _tbe_observed, EMPTY_FAULT_PLAN,
@@ -712,9 +656,7 @@ def run_checks(pillar: str, seed: int,
             found = [f"{row.subject} {row.perturbation.name} changed {name}"
                      for name in _differences(refs[key], observed)]
             if row.kind not in results:
-                # The report spells the graph-cache kind with a hyphen.
                 results[row.kind] = DeterminismResult(
-                    seed=seed, kind=row.kind.replace("_", "-"),
-                    cycles=refs[key]["cycles"])
+                    seed=seed, kind=row.kind, cycles=refs[key]["cycles"])
         results[row.kind].violations.extend(found)
     return results

@@ -6,23 +6,20 @@ set of labels (``pe=3,unit=dpe``) identifies one *instrument*:
 * :class:`Counter` — monotonically increasing totals (stall cycles,
   bytes moved, commands dispatched);
 * :class:`Gauge` — last-value measurements (queue depth, utilisation);
-* :class:`Histogram` — distributions (serving latency); in the default
-  ``exact`` mode it keeps both the raw observations (exact percentiles)
-  and fixed bucket counts for the Prometheus export; in ``sketch`` mode
-  raw samples are replaced by a bounded-memory
-  :class:`~repro.obs.sketch.QuantileSketch` (percentiles within a
-  configured relative error, mergeable across replicas);
+* :class:`Histogram` — distributions (serving latency); it keeps both
+  the raw observations (exact percentiles) and fixed bucket counts for
+  the Prometheus export;
 * sketch families (:meth:`MetricRegistry.sketch`) — standalone
   mergeable quantile sketches, exported as Prometheus summaries;
 * time-series families (:meth:`MetricRegistry.timeseries`) — windowed
   :class:`~repro.obs.timeseries.WindowedSeries` for rates and
   percentile-over-time, exported one gauge sample per window.
 
-**Exact-vs-sketch policy**: single-card simulations default to exact
+**Exact-vs-sketch policy**: single-card simulations use exact
 histograms — memory is cheap and the conformance suite compares
 percentiles bit-for-bit.  Fleet-scale paths (multi-replica serving,
 the faults campaign, anything merged across ``--jobs`` workers) use
-sketch mode / sketch families: bounded memory, deterministic merges.
+sketch families: bounded memory, deterministic merges.
 
 Labels are hierarchical by convention — a ``track`` label like
 ``pe3.dpe`` rolls up by prefix — and :meth:`MetricRegistry.rollup`
@@ -102,27 +99,17 @@ class Gauge:
 
 
 class Histogram:
-    """A distribution: fixed cumulative buckets plus either raw samples
-    (``mode="exact"``) or a bounded-memory quantile sketch
-    (``mode="sketch"``).
+    """A distribution: fixed cumulative buckets plus every raw sample.
 
-    The mode is an explicit policy choice, never inferred: exact keeps
-    every observation (simulations, conformance comparisons), sketch
-    bounds memory to O(buckets) with percentiles within
-    ``relative_accuracy`` of exact (fleet-scale serving telemetry).
+    Bounded-memory quantiles are a separate family kind,
+    :meth:`MetricRegistry.sketch`.
     """
 
     kind = "histogram"
 
-    __slots__ = ("buckets", "bucket_counts", "samples", "sum", "mode",
-                 "sketch", "_count")
+    __slots__ = ("buckets", "bucket_counts", "samples", "sum", "_count")
 
-    def __init__(self, buckets: Sequence[float] = DEFAULT_BUCKETS,
-                 mode: str = "exact",
-                 relative_accuracy: float = 0.01) -> None:
-        if mode not in ("exact", "sketch"):
-            raise ValueError(f"unknown histogram mode {mode!r}; "
-                             "choose 'exact' or 'sketch'")
+    def __init__(self, buckets: Sequence[float] = DEFAULT_BUCKETS) -> None:
         self.buckets = tuple(buckets)
         if list(self.buckets) != sorted(self.buckets):
             raise ValueError("histogram buckets must be sorted")
@@ -131,20 +118,11 @@ class Histogram:
         self.bucket_counts = [0] * len(self.buckets)
         self.samples: List[float] = []
         self.sum = 0.0
-        self.mode = mode
         self._count = 0
-        if mode == "sketch":
-            from repro.obs.sketch import QuantileSketch
-            self.sketch = QuantileSketch(relative_accuracy)
-        else:
-            self.sketch = None
 
     def observe(self, value: float) -> None:
         value = float(value)
-        if self.sketch is not None:
-            self.sketch.add(value)
-        else:
-            self.samples.append(value)
+        self.samples.append(value)
         self._count += 1
         self.sum += value
         for i, bound in enumerate(self.buckets):
@@ -164,10 +142,7 @@ class Histogram:
         arr = np.asarray(values, dtype=float).ravel()
         if arr.size == 0:
             return
-        if self.sketch is not None:
-            self.sketch.add_many(arr)
-        else:
-            self.samples.extend(arr.tolist())
+        self.samples.extend(arr.tolist())
         self._count += int(arr.size)
         self.sum += float(arr.sum())
         # observe() puts v in the first bucket with v <= bound, i.e. the
@@ -189,20 +164,12 @@ class Histogram:
     def merge(self, other: "Histogram") -> "Histogram":
         """Fold another histogram in (in place; returns self).
 
-        Modes and bucket bounds must match; sketch-mode merges are
-        order-invariant on the sketch state (see
-        :mod:`repro.obs.sketch`), exact-mode merges concatenate samples.
+        Bucket bounds must match; the samples are concatenated.
         """
-        if other.mode != self.mode:
-            raise ValueError(f"cannot merge {other.mode} histogram into "
-                             f"{self.mode} histogram")
         if other.buckets != self.buckets:
             raise ValueError("cannot merge histograms with different "
                              "bucket bounds")
-        if self.sketch is not None:
-            self.sketch.merge(other.sketch)
-        else:
-            self.samples.extend(other.samples)
+        self.samples.extend(other.samples)
         self._count += other._count
         self.sum += other.sum
         for i, n in enumerate(other.bucket_counts):
@@ -210,10 +177,7 @@ class Histogram:
         return self
 
     def percentile(self, q: float) -> float:
-        """Percentile (q in [0, 100]): exact from raw samples, or the
-        sketch's relative-error estimate in sketch mode."""
-        if self.sketch is not None:
-            return self.sketch.percentile(q)
+        """Exact percentile (q in [0, 100]) from the raw samples."""
         if not self.samples:
             return 0.0
         ordered = sorted(self.samples)
@@ -250,7 +214,6 @@ class MetricFamily:
 
     def __init__(self, name: str, kind: str, help: str = "",
                  buckets: Optional[Sequence[float]] = None,
-                 mode: str = "exact",
                  relative_accuracy: float = 0.01,
                  window_us: float = 50_000.0,
                  track_quantiles: bool = False) -> None:
@@ -258,7 +221,6 @@ class MetricFamily:
         self.kind = kind
         self.help = help
         self._buckets = tuple(buckets) if buckets is not None else None
-        self.mode = mode
         self.relative_accuracy = relative_accuracy
         self.window_us = window_us
         self.track_quantiles = track_quantiles
@@ -270,9 +232,7 @@ class MetricFamily:
         child = self._children.get(key)
         if child is None:
             if self.kind == "histogram":
-                child = Histogram(self._buckets or DEFAULT_BUCKETS,
-                                  mode=self.mode,
-                                  relative_accuracy=self.relative_accuracy)
+                child = Histogram(self._buckets or DEFAULT_BUCKETS)
             elif self.kind == "sketch":
                 from repro.obs.sketch import QuantileSketch
                 child = QuantileSketch(self.relative_accuracy)
@@ -330,11 +290,8 @@ class MetricRegistry:
         return self._family(name, "gauge", help)
 
     def histogram(self, name: str, help: str = "",
-                  buckets: Optional[Sequence[float]] = None,
-                  mode: str = "exact",
-                  relative_accuracy: float = 0.01) -> MetricFamily:
-        return self._family(name, "histogram", help, buckets, mode=mode,
-                            relative_accuracy=relative_accuracy)
+                  buckets: Optional[Sequence[float]] = None) -> MetricFamily:
+        return self._family(name, "histogram", help, buckets)
 
     def sketch(self, name: str, help: str = "",
                relative_accuracy: float = 0.01) -> MetricFamily:
@@ -389,7 +346,6 @@ class MetricRegistry:
                     entry.update({
                         "count": child.count, "sum": child.sum,
                         "p50": child.p50, "p95": child.p95, "p99": child.p99,
-                        "mode": child.mode,
                     })
                 elif family.kind == "sketch":
                     entry.update(child.summary())

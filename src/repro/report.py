@@ -12,8 +12,8 @@ bounds serving telemetry.
 the run, so instrumented layers (the graph executor's per-op timing,
 the serving simulator's latency histograms, the bound analysis) record
 into it, and appends the registry dump to the report.
-This is the quick, human-readable view; ``pytest benchmarks/
---benchmark-only`` additionally asserts every reproduction target.
+This is the quick, human-readable view; ``python -m pytest -q
+benchmarks`` additionally asserts every reproduction target.
 """
 
 from __future__ import annotations

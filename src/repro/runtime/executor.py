@@ -53,7 +53,7 @@ class GraphExecutor:
     """Runs IR graphs functionally and reports modelled timing."""
 
     def __init__(self, machine=None, mode: str = "graph",
-                 registry=None, spans=None, op_cache=None) -> None:
+                 registry=None, spans=None) -> None:
         from repro.eval.machines import MTIA_MACHINE  # late import (cycle)
         if mode not in ("eager", "graph"):
             raise ValueError(f"unknown execution mode {mode!r}")
@@ -66,12 +66,6 @@ class GraphExecutor:
         #: run() records a graph_execute span with per-op children,
         #: under whatever span is currently open (a serving batch span)
         self.spans = spans
-        #: optional :class:`~repro.simcache.graph.GraphOpCache`; when
-        #: set (explicitly or via ``REPRO_GRAPH_CACHE``), per-operator
-        #: outputs are memoised under chained content fingerprints so a
-        #: one-weight edit recomputes only its downstream cone.  Hits
-        #: are bit-identical to recomputation (conformance cache pillar).
-        self.op_cache = op_cache
 
     def compile(self, graph):
         """Run the compiler pipeline in graph mode; returns placement."""
@@ -97,23 +91,15 @@ class GraphExecutor:
         """
         from repro.compiler.ops import execute_node
         from repro.eval.opmodel import estimate_graph
-        from repro.simcache.graph import (leaf_fingerprint,
-                                          node_fingerprint,
-                                          resolve_graph_cache,
-                                          zero_leaf_fingerprint)
         placement = self.compile(graph)
         weights = weights or {}
-        cache = resolve_graph_cache(self.op_cache)
 
         values: Dict[str, np.ndarray] = {}
-        fps: Dict[str, str] = {}
         for node in graph:
             if node.op == "input":
                 if node.name not in feeds:
                     raise KeyError(f"missing feed for input {node.name!r}")
                 values[node.name] = np.asarray(feeds[node.name])
-                if cache is not None:
-                    fps[node.name] = leaf_fingerprint(values[node.name])
             elif node.op == "weight":
                 if node.name in weights:
                     values[node.name] = np.asarray(weights[node.name])
@@ -123,29 +109,13 @@ class GraphExecutor:
                     meta = node.meta
                     values[node.name] = np.broadcast_to(
                         np.zeros((), meta.dtype.numpy_dtype), meta.shape)
-                    if cache is not None:
-                        fps[node.name] = zero_leaf_fingerprint(
-                            tuple(meta.shape), str(meta.dtype))
-                    continue
-                if cache is not None:
-                    fps[node.name] = leaf_fingerprint(values[node.name])
             else:
-                if cache is not None:
-                    fp = node_fingerprint(node, [fps[i]
-                                                 for i in node.inputs])
-                    fps[node.name] = fp
-                    hit = cache.lookup(fp)
-                    if hit is not None:
-                        values[node.name] = hit
-                        continue
                 out = execute_node(node, [values[i] for i in node.inputs])
                 epilogue = node.attrs.get("epilogue")
                 if epilogue:
                     out = _EPILOGUES[epilogue](
                         out.astype(np.float32)).astype(np.float32)
                 values[node.name] = out
-                if cache is not None:
-                    cache.store(fp, out)
 
         estimate = estimate_graph(self.machine, graph,
                                   placement if self.mode == "graph" else None)

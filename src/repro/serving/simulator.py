@@ -735,18 +735,22 @@ class _ServedRuns:
 
 def _record_metrics(registry, report: ServingReport,
                     batching: BatchingConfig) -> None:
-    """Bulk-record one serving run into a metric registry."""
+    """Bulk-record one serving run into a metric registry.
+
+    Latencies, phases and the request count cover served requests only,
+    like :meth:`OutcomeQueries.percentile`; aborts are counted by
+    ``serving_outcomes``.
+    """
+    served = report.served_mask
     registry.histogram(
         "serving_latency_us",
         "end-to-end request latency (arrival to batch finish)"
-    ).labels().observe_many(report.latencies_us)
-    for phase, values in (("queue_wait", report.queue_wait_us),
-                          ("batch_wait", report.batch_wait_us),
-                          ("execute", report.execute_us)):
-        registry.histogram(
-            "serving_phase_us",
-            "per-request phase attribution (queue/batch/execute)"
-        ).labels(phase=phase).observe_many(values)
+    ).labels().observe_many(report.latencies_us[served])
+    phases = registry.histogram(
+        "serving_phase_us", "per-request phase attribution")
+    for phase in PHASES:
+        phases.labels(phase=phase).observe_many(
+            getattr(report, f"{phase}_us")[served])
     registry.histogram(
         "serving_batch_size", "dispatched batch sizes"
     ).labels().observe_many(report.batch_sizes)
@@ -754,7 +758,7 @@ def _record_metrics(registry, report: ServingReport,
         "serving_queue_depth", "queue depth sampled at dispatch"
     ).labels().observe_many([b.queue_depth for b in report.batches])
     registry.counter("serving_requests", "requests served").labels().inc(
-        report.latencies_us.size)
+        int(np.count_nonzero(served)))
     registry.gauge("serving_availability",
                    "fraction of offered requests served").labels().set(
                        report.availability)

@@ -3,20 +3,11 @@
 from repro.simcache.cache import (CACHE_ENV_VAR, CacheEntry, SimCache,
                                   array_digest, cache_from_env, canonical,
                                   fingerprint, resolve_cache, reset_env_cache)
-from repro.simcache.graph import (GRAPH_CACHE_ENV_VAR, GraphOpCache,
-                                  graph_cache_from_env,
-                                  reset_env_graph_cache,
-                                  resolve_graph_cache)
 
 __all__ = [
     "CACHE_ENV_VAR",
     "CacheEntry",
-    "GRAPH_CACHE_ENV_VAR",
-    "GraphOpCache",
     "SimCache",
-    "graph_cache_from_env",
-    "reset_env_graph_cache",
-    "resolve_graph_cache",
     "array_digest",
     "cache_from_env",
     "canonical",

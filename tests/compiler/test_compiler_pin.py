@@ -79,8 +79,8 @@ def digests(name: str, mode: str, seed: int = SEED) -> Dict[str, str]:
     """The four digests of one zoo model run in ``mode``."""
     feeds, weights = bindings(name, seed)
     graph = build_dlrm_graph(MODEL_ZOO[name], BATCH)
-    outputs, report = GraphExecutor(MACHINES["mtia"], mode=mode,
-                                    op_cache=False).run(graph, feeds, weights)
+    outputs, report = GraphExecutor(MACHINES["mtia"], mode=mode).run(
+        graph, feeds, weights)
     h = hashlib.sha256()
     for out in graph.outputs:
         value = np.ascontiguousarray(outputs[out])

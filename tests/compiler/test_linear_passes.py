@@ -33,7 +33,6 @@ from repro.conformance import fuzz_graph
 from repro.models.configs import MODEL_ZOO
 from repro.models.dlrm import build_dlrm_graph
 from repro.runtime.executor import GraphExecutor
-from repro.simcache.graph import GraphOpCache
 from tests import strategies as shared
 
 
@@ -361,18 +360,13 @@ def test_op_executes_on_read_only_inputs(op, zero_stride):
 
 
 @pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("cache", [False, True], ids=["cold", "cached"])
-def test_unbound_weights_read_as_explicit_zeros(seed, cache):
+def test_unbound_weights_read_as_explicit_zeros(seed):
     """Zero-stride synthesis gives what binding ``np.zeros`` gives."""
     case = fuzz_graph(seed)
     zeros = {n.name: np.zeros(n.meta.shape, n.meta.dtype.numpy_dtype)
              for n in case.graph if n.op == "weight"}
-    op_cache = GraphOpCache() if cache else False
-    for _ in range(2 if cache else 1):        # cold, then warm hits
-        synthesized, _ = GraphExecutor(op_cache=op_cache).run(
-            case.graph.copy(), case.feeds)
-    explicit, _ = GraphExecutor(op_cache=False).run(
-        case.graph.copy(), case.feeds, zeros)
+    synthesized, _ = GraphExecutor().run(case.graph.copy(), case.feeds)
+    explicit, _ = GraphExecutor().run(case.graph.copy(), case.feeds, zeros)
     assert sorted(synthesized) == sorted(explicit)
     for name in explicit:
         assert synthesized[name].dtype == explicit[name].dtype

@@ -4,8 +4,7 @@ Every ``details`` entry of a passing determinism, cache, faults or
 autotune case is recorded here: its key (the check kind), the kind the
 report names, the figure it reports as ``cycles`` and an empty
 violation list.  A refactor of the checks must reproduce these bytes.
-The graph kind reports the fuzzed graph's modelled seconds, the same
-figure as graph_cache on the same seed.
+The graph kind reports the fuzzed graph's modelled seconds.
 """
 
 import pytest
@@ -35,15 +34,9 @@ PIN = {
         "telemetry": ("telemetry", 100196.67409046805),
         "fleet": ("fleet", 521801.62006739585),
         "critical": ("critical", 1472.090909090909)},
-    ("cache", 0): {
-        "cache": ("cache", 2374.090909090909),
-        "graph_cache": ("graph-cache", 0.000558405597950334)},
-    ("cache", 1): {
-        "cache": ("cache", 1730.090909090909),
-        "graph_cache": ("graph-cache", 0.0009725484562939156)},
-    ("cache", 2): {
-        "cache": ("cache", 1472.090909090909),
-        "graph_cache": ("graph-cache", 0.0003242795572086361)},
+    ("cache", 0): {"cache": ("cache", 2374.090909090909)},
+    ("cache", 1): {"cache": ("cache", 1730.090909090909)},
+    ("cache", 2): {"cache": ("cache", 1472.090909090909)},
     ("faults", 0): {"faults": ("faults", 2374.090909090909)},
     ("faults", 1): {"faults": ("faults", 1730.090909090909)},
     ("faults", 2): {"faults": ("faults", 1472.090909090909)},

@@ -170,6 +170,26 @@ class TestMetricsRecording:
         occ = reg.gauge("serving_batch_occupancy").labels().value
         assert occ == pytest.approx(report.mean_batch / 256)
 
+    def test_resilient_run_records_served_requests_only(self):
+        reg = MetricRegistry()
+        report = run(qps=400_000, n=5000, registry=reg,
+                     resilience=ResilienceConfig(deadline_us=500.0,
+                                                 max_retries=1,
+                                                 retry_backoff_us=50.0))
+        served = int(np.count_nonzero(report.served_mask))
+        assert 0 < served < 5000
+        assert reg.counter("serving_requests").labels().value == served
+        lat = reg.histogram("serving_latency_us").labels()
+        assert lat.count == served
+        assert lat.p99 == pytest.approx(report.p99_us, rel=0.02)
+        phases = reg.histogram("serving_phase_us")
+        for phase in report.phases:
+            values = getattr(report, f"{phase}_us")[report.served_mask]
+            hist = phases.labels(phase=phase)
+            assert hist.count == served, phase
+            assert hist.sum == pytest.approx(values.sum()), phase
+        assert phases.labels(phase="retry_overhead").sum > 0
+
 
 class TestSLO:
     def test_burn_rate_zero_when_all_meet_sla(self):

@@ -55,12 +55,6 @@ class TestWorkloads:
             assert extras["events_per_sec_wall"] > 0, name
             assert extras["peak_heap_size"] > 0, name
 
-    def test_dlrm_reports_graph_cache_walls(self, payload):
-        extras = payload["workloads"]["dlrm"]["extras"]
-        assert extras["executor_cold_wall_s"] > 0
-        assert extras["executor_warm_wall_s"] > 0
-        assert extras["graph_cache_warm_speedup"] > 1.0
-
 
 class TestCompare:
     def test_detects_cycle_regression(self, payload):
