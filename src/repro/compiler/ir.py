@@ -103,6 +103,26 @@ class Graph:
                 result[inp].append(node)
         return result
 
+    def last_uses(self) -> Dict[int, List[str]]:
+        """Tensor names bucketed by the position of their last reader.
+
+        A tensor's position is the execution-order index of the last
+        node that reads it; graph outputs are read by the caller after
+        the last node, at ``len(self)``.  A tensor that no node reads
+        and that is not an output is in no bucket.  Tensor placement
+        frees SRAM with this map and the executor frees host values.
+        """
+        last: Dict[str, int] = {}
+        for idx, node in enumerate(self):
+            for inp in node.inputs:
+                last[inp] = idx
+        for out in self.outputs:
+            last[out] = len(self._order)
+        buckets: Dict[int, List[str]] = {}
+        for name, idx in last.items():
+            buckets.setdefault(idx, []).append(name)
+        return buckets
+
     # -- mutation (used by passes) ------------------------------------------
     def replace_uses(self, old: str, new: str) -> None:
         """Rewrite every use of ``old`` to ``new``."""

@@ -57,35 +57,21 @@ def place_tensors(graph: Graph, sram_capacity: int,
     force-resident in SRAM (small hot tables).
     """
     result = PlacementResult()
-    # Last use index of each tensor, for liveness.
-    last_use: Dict[str, int] = {}
-    order = list(graph)
-    for idx, node in enumerate(order):
-        for inp in node.inputs:
-            last_use[inp] = idx
-    for out in graph.outputs:
-        last_use[out] = len(order)
-    # Names bucketed by last-use index, so expiry at ``idx`` reads only
-    # the tensors that can die there.
-    expiring: Dict[int, List[str]] = {}
-    for name, last in last_use.items():
-        expiring.setdefault(last, []).append(name)
+    expiring = graph.last_uses()
 
+    #: intermediates in SRAM, freed at their last use
     live_sram: Dict[str, int] = {}
     used = 0
-    for idx, node in enumerate(order):
-        # Expire dead SRAM tensors first.  A pinned weight's last use
-        # was moved past the end after bucketing, hence the re-check.
+    for idx, node in enumerate(graph):
         for name in expiring.pop(idx, ()):
-            if last_use[name] <= idx and name in live_sram:
+            if name in live_sram:
                 used -= live_sram.pop(name)
         nbytes = node.meta.nbytes
         if node.op == "weight":
             if node.name in pin_weights and used + nbytes <= sram_capacity:
+                # Pinned weights stay resident for the whole graph, so
+                # they count in ``used`` but never join ``live_sram``.
                 result.regions[node.name] = "sram"
-                live_sram[node.name] = nbytes
-                # Pinned weights stay resident for the whole graph.
-                last_use[node.name] = len(order)
                 used += nbytes
                 result.sram_peak_bytes = max(result.sram_peak_bytes, used)
             else:

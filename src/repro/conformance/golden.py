@@ -23,7 +23,8 @@ import numpy as np
 
 from repro.compiler.ir import Graph, Node
 
-#: Epilogue semantics (kept in sync with runtime.executor._EPILOGUES).
+#: Epilogue semantics (kept in sync with the unary kernels of
+#: ``repro.compiler.ops.OP_REGISTRY``, which the executor applies).
 _EPILOGUES: Dict[str, Callable] = {
     "relu": lambda x: np.maximum(x, 0.0),
     "tanh": np.tanh,

@@ -42,13 +42,6 @@ class ExecutionReport:
         return {k: v / total for k, v in self.category_seconds.items()}
 
 
-_EPILOGUES = {
-    "relu": lambda x: np.maximum(x, 0.0),
-    "tanh": np.tanh,
-    "sigmoid": lambda x: 1.0 / (1.0 + np.exp(-x)),
-}
-
-
 class GraphExecutor:
     """Runs IR graphs functionally and reports modelled timing."""
 
@@ -88,14 +81,18 @@ class GraphExecutor:
         view (``np.broadcast_to`` of one zero), so perf-only runs of
         multi-hundred-GB models cost O(1) per weight and never touch
         table-sized memory.  Operators must not write to their inputs.
+        Each intermediate is dropped after its last reader runs, as the
+        placement pass frees its SRAM there (Section 5), so a run holds
+        only the live values, never the whole graph's.
         """
-        from repro.compiler.ops import execute_node
+        from repro.compiler.ops import OP_REGISTRY, execute_node
         from repro.eval.opmodel import estimate_graph
         placement = self.compile(graph)
         weights = weights or {}
+        expiring = graph.last_uses()
 
         values: Dict[str, np.ndarray] = {}
-        for node in graph:
+        for idx, node in enumerate(graph):
             if node.op == "input":
                 if node.name not in feeds:
                     raise KeyError(f"missing feed for input {node.name!r}")
@@ -113,9 +110,10 @@ class GraphExecutor:
                 out = execute_node(node, [values[i] for i in node.inputs])
                 epilogue = node.attrs.get("epilogue")
                 if epilogue:
-                    out = _EPILOGUES[epilogue](
-                        out.astype(np.float32)).astype(np.float32)
+                    out = OP_REGISTRY[epilogue].execute([out], {}, node.meta)
                 values[node.name] = out
+            for name in expiring.get(idx, ()):
+                del values[name]
 
         estimate = estimate_graph(self.machine, graph,
                                   placement if self.mode == "graph" else None)

@@ -8,6 +8,7 @@ decided, Section 5), and quantisation parameters for INT8 data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -31,7 +32,7 @@ class TensorMeta:
 
     @property
     def numel(self) -> int:
-        return int(np.prod(self.shape)) if self.shape else 1
+        return math.prod(self.shape)
 
     @property
     def nbytes(self) -> int:

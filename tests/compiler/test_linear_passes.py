@@ -9,8 +9,8 @@ agree on every fuzzed graph, with and without pinned weights and under
 SRAM budgets tight enough to force spills.
 
 The executor binds unbound weights to read-only zero-stride views, so
-the contract tests also run every registered operator on read-only
-inputs.
+the contract tests also run every registered operator, and the FC and
+TBE on their blocked paths, on read-only inputs.
 """
 
 from __future__ import annotations
@@ -27,7 +27,8 @@ from repro.compiler.fusion import (EPILOGUE_OPS, FusionReport,
                                    _eliminate_common_subexpressions,
                                    fuse_graph)
 from repro.compiler.ir import Graph, GraphBuilder, Node
-from repro.compiler.ops import OP_REGISTRY, execute_node, infer_meta
+from repro.compiler.ops import (OP_REGISTRY, execute_node, fc_blocks,
+                                infer_meta)
 from repro.compiler.placement import PlacementResult, place_tensors
 from repro.conformance import fuzz_graph
 from repro.models.configs import MODEL_ZOO
@@ -314,8 +315,34 @@ SAMPLES = {
 }
 
 
+#: samples on the streaming paths: an int8 FC weight cast in two row
+#: blocks, the second with a 1-column tail folded in, and a TBE pooling
+#: three tables into column slices of one output
+STREAMING_SAMPLES = {
+    "fc-blocked": ("fc", [((4, 4096), "int8"), ((513, 4096), "int8"),
+                          ((513,), "fp32")], {"out_dtype": "fp32"}),
+    "tbe-3-tables": ("tbe", [((10, 8), "int8"), ((4, 3), "int32"),
+                             ((10, 1), "fp16"), ((4, 3), "int32"),
+                             ((10, 5), "int8"), ((4, 3), "int32")],
+                     {"batch": 4, "pooling": 3, "scale": 1.0 / 64.0}),
+}
+CASES = sorted(SAMPLES) + sorted(STREAMING_SAMPLES)
+
+
+def _sample(case: str):
+    """(op, operand specs, attrs) of a SAMPLES or STREAMING_SAMPLES case."""
+    if case in SAMPLES:
+        return (case,) + SAMPLES[case]
+    return STREAMING_SAMPLES[case]
+
+
 def test_every_registered_op_has_a_read_only_sample():
     assert sorted(SAMPLES) == sorted(set(OP_REGISTRY) - {"input", "weight"})
+
+
+def test_blocked_fc_sample_spans_several_blocks():
+    (n, k), _ = STREAMING_SAMPLES["fc-blocked"][1][1]
+    assert len(fc_blocks(n, k)) > 1
 
 
 def _operand(rng: np.random.Generator, shape, dtype: str) -> np.ndarray:
@@ -335,15 +362,15 @@ def _read_only(value: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("zero_stride", [False, True],
                          ids=["dense", "zero-stride"])
-@pytest.mark.parametrize("op", sorted(SAMPLES))
-def test_op_executes_on_read_only_inputs(op, zero_stride):
+@pytest.mark.parametrize("case", CASES)
+def test_op_executes_on_read_only_inputs(case, zero_stride):
     """Same result from read-only operands as from private copies.
 
     The zero-stride variant feeds non-index operands the way the
     executor binds an unbound weight.
     """
-    specs, attrs = SAMPLES[op]
-    rng = np.random.default_rng(sorted(SAMPLES).index(op))
+    op, specs, attrs = _sample(case)
+    rng = np.random.default_rng(CASES.index(case))
     b = GraphBuilder(op)
     names, arrays = [], []
     for i, (shape, dtype) in enumerate(specs):
