@@ -6,8 +6,6 @@
 * :mod:`repro.models.configs` — the Table IV model zoo (LC1, LC2, MC1,
   MC2, HC), solved to hit the published size (GB) and complexity
   (GFLOPs/batch) targets;
-* :mod:`repro.models.workloads` — synthetic inference request
-  generators (dense features + skewed sparse indices);
 * :mod:`repro.models.trends` — the growth models behind Figures 1-2.
 """
 

@@ -38,8 +38,9 @@ from typing import Dict, List, Optional, Tuple
 from repro.obs.cli import (COUNT, POSITIVE, add_jobs, add_seed, bounded,
                            emit)
 from repro.serving import ROUTING_POLICIES, TRACES
-from repro.serving.simulator import (BatchingConfig, BatchLatencyModel,
-                                     ServingReport, simulate_serving)
+from repro.serving.simulator import (CANDIDATE_BATCHES, BatchingConfig,
+                                     BatchLatencyModel, ServingReport,
+                                     simulate_serving)
 from repro.serving.slo import SLOSummary, slo_from_report
 from repro.serving.tail import TailAttribution, attribute_tail
 from repro.serving.telemetry import ServingTelemetry, emit_exemplar_spans
@@ -677,6 +678,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             or args.fleet and args.availability == 1.0):
         parser.error("argument --availability: must be in (0, 1) "
                      f"((0, 1] with --fleet), got {args.availability!r}")
+    # the latency table cannot price a batch above its largest candidate
+    if args.max_batch > CANDIDATE_BATCHES[-1]:
+        parser.error(f"argument --max-batch: must be <= "
+                     f"{CANDIDATE_BATCHES[-1]} (the largest modelled "
+                     f"batch), got {args.max_batch}")
 
     if args.fleet:
         report, fleet_reports = run_fleet_report(

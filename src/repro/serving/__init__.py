@@ -25,9 +25,9 @@ from the operator-level models back to that context:
   crowds turned into deterministic arrival vectors;
 * :mod:`repro.serving.fleet` — the datacenter tier: a router with
   pluggable seeded policies (round-robin, least-loaded, power-of-two,
-  hedging) in front of N sharded/replicated multi-card replicas, each
-  an independent :func:`~repro.serving.simulator.simulate_serving`
-  run, with correlated rack/power failures and burn-driven autoscaling;
+  hedging) in front of N replicated multi-card replicas, each an
+  independent :func:`~repro.serving.simulator.simulate_serving` run,
+  with correlated rack/power failures;
 * :mod:`repro.serving.capacity` — fleet sizing: closed-form per-card
   throughput (:func:`~repro.serving.capacity.plan_capacity`) and the
   simulated minimum-replica answer
@@ -46,13 +46,11 @@ Chrome trace (request waterfall down to cycle-level unit activity).
 
 from repro.serving.capacity import (CapacityPlan, FleetCapacityPlan,
                                     plan_capacity, plan_fleet_capacity)
-from repro.serving.fleet import (ROUTING_POLICIES, AutoscaleConfig,
-                                 FleetConfig, FleetReport,
-                                 ObservedLatencyFeed, ReplicaSpec,
-                                 RouterConfig, ShardedLatencyModel,
-                                 TabularLatencyModel,
-                                 sharded_latency_table, simulate_fleet,
-                                 simulate_fleet_autoscaled, uniform_fleet)
+from repro.serving.fleet import (ROUTING_POLICIES, FleetConfig,
+                                 FleetReport, ObservedLatencyFeed,
+                                 ReplicaSpec, RouterConfig,
+                                 TabularLatencyModel, simulate_fleet,
+                                 uniform_fleet)
 from repro.serving.resilience import ResilienceConfig
 from repro.serving.simulator import (STATUS_FAILED, STATUS_NAMES,
                                      STATUS_SERVED, STATUS_SHED,
@@ -66,7 +64,6 @@ from repro.serving.telemetry import ServingTelemetry, emit_exemplar_spans
 from repro.serving.traffic import TRACES, Burst, TrafficTrace, trace_preset
 
 __all__ = [
-    "AutoscaleConfig",
     "BatchingConfig",
     "BatchLatencyModel",
     "BatchRecord",
@@ -90,7 +87,6 @@ __all__ = [
     "STATUS_TIMEOUT",
     "ServingReport",
     "ServingTelemetry",
-    "ShardedLatencyModel",
     "TRACES",
     "TabularLatencyModel",
     "TailAttribution",
@@ -99,9 +95,7 @@ __all__ = [
     "emit_exemplar_spans",
     "plan_capacity",
     "plan_fleet_capacity",
-    "sharded_latency_table",
     "simulate_fleet",
-    "simulate_fleet_autoscaled",
     "simulate_serving",
     "slo_from_report",
     "trace_preset",

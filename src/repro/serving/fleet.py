@@ -12,21 +12,13 @@ routed arrival vector) into one fleet simulation:
   (power-of-two plus a delayed duplicate to the losing sample when the
   chosen backlog is deep; first served copy wins, the loser is wasted
   replica work);
-* **sharding vs. replication** — a :class:`ReplicaSpec` is either a
-  replicated single-card model or an embedding-sharded multi-card
-  group whose batch latency is *max over shards + gather merge*,
-  derived from :func:`repro.runtime.multi_card.estimate_multi_card`
-  scaling curves (:func:`sharded_latency_table`);
 * **traffic** — any sorted arrival vector, usually a seeded
   :class:`~repro.serving.traffic.TrafficTrace` (diurnal/bursty,
   millions-of-users scale);
 * **correlated failures** — a :class:`~repro.faults.FaultPlan` whose
   serving-domain events target *replica indices*; rack/power-domain
   plans (:func:`repro.faults.plan.generate_fleet_plan`) take down every
-  replica in a blast radius at once;
-* **autoscaling** — :func:`simulate_fleet_autoscaled` re-sizes the
-  fleet between epochs, driven by the SLO error-budget burn signal
-  (:mod:`repro.serving.slo`).
+  replica in a blast radius at once.
 
 Every routed request keeps an exact attribution identity::
 
@@ -51,7 +43,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,12 +55,10 @@ from repro.serving.simulator import (PHASES, STATUS_SERVED,
 from repro.serving.traffic import TrafficTrace
 
 __all__ = [
-    "ROUTING_POLICIES", "TabularLatencyModel", "ShardedLatencyModel",
-    "sharded_latency_table", "ReplicaSpec", "RouterConfig", "FleetConfig",
-    "AutoscaleConfig", "RoutingDecision", "route_requests",
-    "route_requests_vectorised",
-    "ObservedLatencyFeed", "FleetReport", "simulate_fleet", "EpochRecord",
-    "FleetAutoscaleReport", "simulate_fleet_autoscaled", "uniform_fleet",
+    "ROUTING_POLICIES", "TabularLatencyModel", "ReplicaSpec",
+    "RouterConfig", "FleetConfig", "RoutingDecision", "route_requests",
+    "route_requests_vectorised", "ObservedLatencyFeed", "FleetReport",
+    "simulate_fleet", "uniform_fleet",
 ]
 
 #: Pluggable router policies, in documentation order.
@@ -82,7 +72,8 @@ ROUTING_POLICIES: Tuple[str, ...] = (
 
 @dataclass(frozen=True)
 class TabularLatencyModel:
-    """A picklable batch→latency table (ceil to the next candidate).
+    """A picklable batch→latency table (ceil to the next candidate;
+    a batch above the largest candidate raises ``ValueError``).
 
     The fleet fans replicas out over worker processes, so its latency
     models must pickle; this is the frozen-table twin of
@@ -109,87 +100,10 @@ class TabularLatencyModel:
 
     def __call__(self, batch: int) -> float:
         idx = bisect.bisect_left(self.batches, batch)
-        idx = min(idx, len(self.batches) - 1)
+        if idx == len(self.batches):
+            raise ValueError(f"batch {batch} exceeds the largest modelled "
+                             f"batch {self.batches[-1]}")
         return self.latency_us[idx]
-
-
-@dataclass(frozen=True)
-class ShardedLatencyModel:
-    """Embedding-sharded batch latency: max over shards + merge.
-
-    Splits a base batch latency into a sparse part that fans out over
-    ``shards`` embedding shards (the slowest shard gates — modelled as
-    the 1/shards share inflated by ``imbalance``) and a dense part that
-    does not scale, plus a per-shard gather/merge cost.  The analytical
-    twin is :func:`sharded_latency_table`, which derives the same curve
-    from :func:`repro.runtime.multi_card.estimate_multi_card` for a
-    real model graph.
-    """
-
-    base: TabularLatencyModel
-    shards: int = 1
-    sparse_fraction: float = 0.45
-    merge_us_per_shard: float = 8.0
-    imbalance: float = 0.1
-
-    def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
-        if not 0.0 <= self.sparse_fraction <= 1.0:
-            raise ValueError("sparse_fraction must be in [0, 1]")
-        if self.merge_us_per_shard < 0 or self.imbalance < 0:
-            raise ValueError("merge/imbalance must be non-negative")
-
-    def __call__(self, batch: int) -> float:
-        base = self.base(batch)
-        if self.shards == 1:
-            return base
-        sparse = base * self.sparse_fraction
-        dense = base - sparse
-        # slowest shard gates the fan-out; gather serialises behind it
-        fanout = (sparse / self.shards) * (1.0 + self.imbalance)
-        merge = self.merge_us_per_shard * (self.shards - 1)
-        return dense + fanout + merge
-
-
-def sharded_latency_table(model_config, machine, shards: int,
-                          candidate_batches: Sequence[int] = (
-                              1, 2, 4, 8, 16, 32, 64, 128, 256),
-                          p2p_gbs: float = 12.8) -> TabularLatencyModel:
-    """Batch→latency table for an embedding-sharded replica group.
-
-    Round-robins the model's embedding tables across ``shards`` cards
-    and prices each candidate batch with
-    :func:`~repro.runtime.multi_card.estimate_multi_card` — sparse
-    lookups overlap across shards (max gates), pooled outputs gather to
-    the dense card, the dense pipeline serialises behind the gather.
-    This is the paper's Section 5 multi-card partitioning expressed as
-    a serving latency model.
-    """
-    from repro.compiler.partitioner import Partition
-    from repro.models.dlrm import build_dlrm_graph
-    from repro.runtime.multi_card import estimate_multi_card
-
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    batches = tuple(sorted(candidate_batches))
-    table: List[float] = []
-    for batch in batches:
-        graph = build_dlrm_graph(model_config, batch)
-        tables: List[str] = []
-        for node in graph:
-            if node.op in ("embedding_bag", "tbe"):
-                for name in node.inputs[0::2]:
-                    if name not in tables:
-                        tables.append(name)
-        parts = [Partition(card=i, weight_nodes=[], weight_bytes=0,
-                           owns_dense=(i == 0)) for i in range(shards)]
-        for j, name in enumerate(tables):
-            parts[j % shards].weight_nodes.append(name)
-        est = estimate_multi_card(graph, machine, p2p_gbs=p2p_gbs,
-                                  partitions=parts)
-        table.append(est.total_seconds * 1e6)
-    return TabularLatencyModel(batches=batches, latency_us=tuple(table))
 
 
 # ---------------------------------------------------------------------------
@@ -203,27 +117,20 @@ class ReplicaSpec:
     replica: int
     #: identical cards behind the replica's queue (failover capacity)
     num_cards: int = 1
-    #: embedding shards inside the replica (1 = pure replication)
-    shards: int = 1
     #: physical blast radii for correlated faults
     rack: int = 0
     power_domain: int = 0
-    #: router's per-request service estimate override (us); None derives
-    #: it from the latency model at the full batch size
-    service_us: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.replica < 0 or self.num_cards < 1 or self.shards < 1:
-            raise ValueError("replica >= 0, num_cards >= 1, shards >= 1")
+        if self.replica < 0 or self.num_cards < 1:
+            raise ValueError("replica >= 0, num_cards >= 1")
 
     def to_dict(self) -> Dict:
         return {"replica": self.replica, "num_cards": self.num_cards,
-                "shards": self.shards, "rack": self.rack,
-                "power_domain": self.power_domain}
+                "rack": self.rack, "power_domain": self.power_domain}
 
 
-def uniform_fleet(num_replicas: int, num_cards: int = 1, shards: int = 1,
-                  racks: int = 1,
+def uniform_fleet(num_replicas: int, num_cards: int = 1, racks: int = 1,
                   power_domains: int = 1) -> Tuple[ReplicaSpec, ...]:
     """N identical replicas spread over racks and power domains.
 
@@ -240,8 +147,8 @@ def uniform_fleet(num_replicas: int, num_cards: int = 1, shards: int = 1,
     power_domains = min(power_domains, num_replicas)
     per_rack = -(-num_replicas // racks)  # ceil
     return tuple(
-        ReplicaSpec(replica=i, num_cards=num_cards, shards=shards,
-                    rack=i // per_rack, power_domain=i % power_domains)
+        ReplicaSpec(replica=i, num_cards=num_cards, rack=i // per_rack,
+                    power_domain=i % power_domains)
         for i in range(num_replicas))
 
 
@@ -283,7 +190,8 @@ class FleetConfig:
     router: RouterConfig = RouterConfig()
     batching: BatchingConfig = BatchingConfig()
     resilience: ResilienceConfig = ResilienceConfig()
-    #: topology hints so autoscaling can regenerate specs at any count
+    #: topology hints so capacity planning (:meth:`with_replica_count`)
+    #: can regenerate specs at any count
     racks: int = 1
     power_domains: int = 1
     seed: int = 0
@@ -301,11 +209,10 @@ class FleetConfig:
         return len(self.replicas)
 
     def with_replica_count(self, n: int) -> "FleetConfig":
-        """The same fleet re-sized to ``n`` replicas (autoscaling)."""
-        template = self.replicas[0]
+        """The same fleet re-sized to ``n`` replicas (capacity planning)."""
         return replace(self, replicas=uniform_fleet(
-            n, num_cards=template.num_cards, shards=template.shards,
-            racks=self.racks, power_domains=self.power_domains))
+            n, num_cards=self.replicas[0].num_cards, racks=self.racks,
+            power_domains=self.power_domains))
 
     def to_dict(self) -> Dict:
         return {"replicas": [s.to_dict() for s in self.replicas],
@@ -315,38 +222,6 @@ class FleetConfig:
                 "racks": self.racks,
                 "power_domains": self.power_domains,
                 "seed": self.seed}
-
-
-@dataclass(frozen=True)
-class AutoscaleConfig:
-    """Error-budget-burn driven fleet sizing between epochs."""
-
-    epoch_us: float = 200_000.0
-    min_replicas: int = 1
-    max_replicas: int = 16
-    #: add ``step`` replicas when an epoch burns above this
-    upscale_burn: float = 1.0
-    #: remove one when an epoch burns below this (with hysteresis gap)
-    downscale_burn: float = 0.25
-    step: int = 1
-
-    def __post_init__(self) -> None:
-        if self.epoch_us <= 0:
-            raise ValueError("epoch_us must be positive")
-        if not 1 <= self.min_replicas <= self.max_replicas:
-            raise ValueError("need 1 <= min_replicas <= max_replicas")
-        if self.downscale_burn >= self.upscale_burn:
-            raise ValueError("downscale_burn must sit below upscale_burn")
-        if self.step < 1:
-            raise ValueError("step must be >= 1")
-
-    def to_dict(self) -> Dict:
-        return {"epoch_us": self.epoch_us,
-                "min_replicas": self.min_replicas,
-                "max_replicas": self.max_replicas,
-                "upscale_burn": self.upscale_burn,
-                "downscale_burn": self.downscale_burn,
-                "step": self.step}
 
 
 # ---------------------------------------------------------------------------
@@ -373,17 +248,11 @@ class RoutingDecision:
         return int(np.count_nonzero(self.hedged >= 0))
 
 
-def _service_estimates(specs: Sequence[ReplicaSpec],
-                       models: Sequence[Callable[[int], float]],
+def _service_estimates(models: Sequence[Callable[[int], float]],
                        batching: BatchingConfig) -> np.ndarray:
     """Router-visible per-request device cost of each replica (us)."""
-    out = np.zeros(len(specs))
-    for i, (spec, model) in enumerate(zip(specs, models)):
-        if spec.service_us is not None:
-            out[i] = spec.service_us
-        else:
-            out[i] = model(batching.max_batch) / batching.max_batch
-    return out
+    return np.array([model(batching.max_batch) / batching.max_batch
+                     for model in models], dtype=float)
 
 
 def _draw_probes(router: RouterConfig, n: int,
@@ -632,15 +501,15 @@ class ObservedLatencyFeed:
 
     The router's ``least_loaded`` / ``power_of_two`` / ``hedge``
     policies steer by a static per-request service estimate
-    (:func:`_service_estimates`).  This feed is the measured
-    alternative: for every replica, a mergeable
+    (:func:`_service_estimates`).  This feed is what the run measured
+    instead: for every replica, a mergeable
     :class:`~repro.obs.sketch.QuantileSketch` over the fleet-view
     latencies of the requests it served, a
     :class:`~repro.obs.timeseries.WindowedSeries` of the same values
     keyed by *completion* time (the instant a real router would learn
     them), and a per-request device-cost estimate derived from observed
-    batch execution (``execute_us / batch_size`` per served copy) — the
-    like-for-like replacement for :attr:`ReplicaSpec.service_us`.
+    batch execution (``execute_us / batch_size`` per served copy), the
+    measured counterpart of the static estimate.
     """
 
     window_us: float
@@ -651,19 +520,6 @@ class ObservedLatencyFeed:
     #: replica -> measured per-request device cost (us); absent when the
     #: replica served nothing this run
     service_us: Dict[int, float]
-
-    def observed_service_estimates(
-            self, fallback: Sequence[float]) -> np.ndarray:
-        """Per-replica service estimate, measured where available.
-
-        ``fallback`` supplies the static estimate for replicas that
-        served nothing (a dead or fully-drained replica reports no
-        completions, so the router must keep its prior).
-        """
-        out = np.asarray(fallback, dtype=float).copy()
-        for replica, value in self.service_us.items():
-            out[replica] = value
-        return out
 
     def to_dict(self, max_windows: int = 16) -> Dict:
         rows = []
@@ -749,7 +605,6 @@ class FleetReport(OutcomeQueries):
             rows.append({
                 "replica": spec.replica,
                 "num_cards": spec.num_cards,
-                "shards": spec.shards,
                 "rack": spec.rack,
                 "power_domain": spec.power_domain,
                 "requests": int(report.arrivals_us.size),
@@ -813,23 +668,6 @@ class FleetReport(OutcomeQueries):
             service[spec.replica] = float(np.median(per_request))
         return ObservedLatencyFeed(window_us=window_us, sketches=sketches,
                                    series=series, service_us=service)
-
-    def with_observed_service(self,
-                              window_us: float = 5_000.0) -> FleetConfig:
-        """This run's config with measured service estimates plugged in.
-
-        The closed loop: simulate once, then re-route the next run with
-        each :attr:`ReplicaSpec.service_us` overridden by the observed
-        per-request device cost (static estimates stay wherever a
-        replica served nothing).
-        """
-        feed = self.observed_latency(window_us=window_us)
-        estimates = feed.service_us
-        specs = tuple(
-            replace(spec, service_us=estimates.get(spec.replica,
-                                                   spec.service_us))
-            for spec in self.config.replicas)
-        return replace(self.config, replicas=specs)
 
     def to_dict(self, max_windows: int = 64) -> Dict:
         """Canonical JSON-ready dump (stable keys and ordering)."""
@@ -911,7 +749,7 @@ def simulate_fleet(latency_model, traffic, config: FleetConfig,
 
     ``latency_model`` is one picklable callable (replication: every
     replica runs it) or a sequence of one per replica (heterogeneous
-    fleets, sharded groups via :class:`ShardedLatencyModel`).
+    fleets).
     ``traffic`` is a :class:`~repro.serving.traffic.TrafficTrace`
     (arrivals drawn from ``seed``, default ``config.seed``) or an
     explicit sorted arrival vector.  ``fault_plan`` is a
@@ -941,7 +779,7 @@ def simulate_fleet(latency_model, traffic, config: FleetConfig,
         raise ValueError("arrivals must be sorted")
 
     router = config.router
-    service_us = _service_estimates(specs, models, config.batching)
+    service_us = _service_estimates(models, config.batching)
     decision = route_requests_vectorised(arrivals, router, specs,
                                          service_us)
 
@@ -1049,128 +887,3 @@ def simulate_fleet(latency_model, traffic, config: FleetConfig,
         hedge_wins=hedge_wins,
         **{f"{name}_us": values for name, values in phases.items()},
     )
-
-
-# ---------------------------------------------------------------------------
-# autoscaling
-# ---------------------------------------------------------------------------
-
-@dataclass
-class EpochRecord:
-    """One autoscaling epoch: load, standing, and the scaler's verdict."""
-
-    index: int
-    start_us: float
-    end_us: float
-    replicas: int
-    requests: int
-    p99_us: float
-    availability: float
-    burn: float
-    action: str                     #: "up" | "down" | "hold"
-
-    def to_dict(self) -> Dict:
-        return {"index": self.index, "start_us": self.start_us,
-                "end_us": self.end_us, "replicas": self.replicas,
-                "requests": self.requests, "p99_us": self.p99_us,
-                "availability": self.availability, "burn": self.burn,
-                "action": self.action}
-
-
-@dataclass
-class FleetAutoscaleReport:
-    """An autoscaled run: per-epoch fleet reports plus the size timeline."""
-
-    sla_us: float
-    availability_target: float
-    autoscale: AutoscaleConfig
-    epochs: List[EpochRecord] = field(default_factory=list)
-    reports: List[FleetReport] = field(default_factory=list)
-
-    @property
-    def replica_timeline(self) -> List[int]:
-        return [e.replicas for e in self.epochs]
-
-    @property
-    def total_requests(self) -> int:
-        return sum(e.requests for e in self.epochs)
-
-    def to_dict(self) -> Dict:
-        return {
-            "sla_us": self.sla_us,
-            "availability_target": self.availability_target,
-            "autoscale": self.autoscale.to_dict(),
-            "epochs": [e.to_dict() for e in self.epochs],
-            "replica_timeline": self.replica_timeline,
-            "total_requests": self.total_requests,
-        }
-
-
-def simulate_fleet_autoscaled(latency_model, traffic,
-                              config: FleetConfig,
-                              autoscale: AutoscaleConfig,
-                              sla_us: float,
-                              availability_target: float = 0.999,
-                              fault_plan=None, jobs: int = 1,
-                              collect_telemetry: bool = False
-                              ) -> FleetAutoscaleReport:
-    """Serve a trace epoch by epoch, re-sizing on error-budget burn.
-
-    Each epoch runs a fixed-size fleet over its arrival slice; the SLO
-    monitor's burn rate for the epoch then drives the scaler: burn
-    above ``upscale_burn`` adds ``step`` replicas, burn below
-    ``downscale_burn`` removes one (the asymmetry is deliberate — scale
-    up fast, down slowly), clamped to the configured range.  The whole
-    loop is deterministic: same trace, same config, same timeline.
-    """
-    from repro.serving.slo import slo_from_report
-
-    if isinstance(traffic, TrafficTrace):
-        arrivals = traffic.arrivals(config.seed)
-    else:
-        arrivals = np.asarray(traffic, dtype=float)
-    if arrivals.size == 0:
-        raise ValueError("the traffic trace produced no arrivals")
-
-    out = FleetAutoscaleReport(sla_us=sla_us,
-                               availability_target=availability_target,
-                               autoscale=autoscale)
-    replicas = max(autoscale.min_replicas,
-                   min(config.num_replicas, autoscale.max_replicas))
-    t0 = float(arrivals[0])
-    t_end = float(arrivals[-1])
-    start = t0
-    index = 0
-    while start <= t_end:
-        end = start + autoscale.epoch_us
-        lo = int(np.searchsorted(arrivals, start, side="left"))
-        hi = int(np.searchsorted(arrivals, end, side="left"))
-        chunk = arrivals[lo:hi]
-        if chunk.size:
-            epoch_config = config.with_replica_count(replicas)
-            report = simulate_fleet(latency_model, chunk, epoch_config,
-                                    fault_plan=fault_plan, jobs=jobs,
-                                    collect_telemetry=collect_telemetry)
-            slo = slo_from_report(report, sla_us,
-                                  availability_target=availability_target,
-                                  window_us=autoscale.epoch_us)
-            burn = slo.burn_rate
-            if burn > autoscale.upscale_burn:
-                action = "up"
-                replicas = min(autoscale.max_replicas,
-                               replicas + autoscale.step)
-            elif burn < autoscale.downscale_burn:
-                action = "down"
-                replicas = max(autoscale.min_replicas, replicas - 1)
-            else:
-                action = "hold"
-            out.reports.append(report)
-            out.epochs.append(EpochRecord(
-                index=index, start_us=start, end_us=end,
-                replicas=report.config.num_replicas,
-                requests=int(chunk.size), p99_us=report.percentile(99),
-                availability=report.availability, burn=burn,
-                action=action))
-        index += 1
-        start = end
-    return out

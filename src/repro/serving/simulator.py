@@ -282,6 +282,10 @@ class ServingReport(OutcomeQueries):
         return rows
 
 
+#: The batch sizes :class:`BatchLatencyModel` prices by default.
+CANDIDATE_BATCHES = (1, 2, 4, 8, 16, 32, 64, 128, 256)
+
+
 class BatchLatencyModel:
     """Caches per-batch-size model latency from the analytical stack.
 
@@ -291,7 +295,7 @@ class BatchLatencyModel:
     """
 
     def __init__(self, model_config, machine,
-                 candidate_batches=(1, 2, 4, 8, 16, 32, 64, 128, 256)):
+                 candidate_batches=CANDIDATE_BATCHES):
         from repro.eval.opmodel import estimate_graph
         from repro.models.dlrm import build_dlrm_graph
         from repro.runtime.executor import GraphExecutor
@@ -310,9 +314,15 @@ class BatchLatencyModel:
         self._batches = sorted(self.latency_us)
 
     def candidate_for(self, batch: int) -> int:
-        """The candidate batch size used for an arbitrary batch."""
+        """The candidate batch size used for an arbitrary batch.
+
+        A batch above the largest candidate raises ``ValueError``: the
+        table cannot price it.
+        """
         idx = bisect.bisect_left(self._batches, batch)
-        idx = min(idx, len(self._batches) - 1)
+        if idx == len(self._batches):
+            raise ValueError(f"batch {batch} exceeds the largest modelled "
+                             f"batch {self._batches[-1]}")
         return self._batches[idx]
 
     def __call__(self, batch: int) -> float:

@@ -12,7 +12,6 @@ from repro.eval.machines import MACHINES
 from repro.eval.opmodel import estimate_graph
 from repro.models.configs import MODEL_ZOO
 from repro.models.dlrm import DLRMConfig, build_dlrm_graph
-from repro.models.workloads import WorkloadGenerator
 from repro.runtime import DeviceSet, GraphExecutor, MTIADevice
 
 
@@ -27,8 +26,18 @@ def tiny_dlrm():
 class TestModelThroughExecutor:
     def test_compiled_graph_matches_eager(self, tiny_dlrm, rng):
         batch = 8
-        gen = WorkloadGenerator(tiny_dlrm, batch_size=batch, seed=5)
-        feeds = gen.feeds_for(gen.next_request())
+        feed_rng = np.random.default_rng(5)
+        feeds = {}
+        for node in build_dlrm_graph(tiny_dlrm, batch):
+            if node.op != "input":
+                continue
+            shape, dtype = node.meta.shape, node.meta.dtype.numpy_dtype
+            if np.issubdtype(dtype, np.integer):
+                feeds[node.name] = feed_rng.integers(
+                    0, tiny_dlrm.rows_per_table, size=shape, dtype=dtype)
+            else:
+                feeds[node.name] = feed_rng.standard_normal(
+                    shape).astype(dtype)
         weights = {}
         for t in range(tiny_dlrm.num_tables):
             weights[f"table{t}"] = rng.integers(

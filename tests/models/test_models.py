@@ -1,4 +1,4 @@
-"""DLRM construction, the Table IV zoo, workloads, and trends."""
+"""DLRM construction, the Table IV zoo, and trends."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from repro.models.dlrm import (DLRMConfig, build_dlrm_graph, model_flops,
                                model_size_bytes, operator_census)
 from repro.models.trends import (compute_memory_gap, figure1_series,
                                  figure2_series)
-from repro.models.workloads import WorkloadGenerator, access_skew
 
 
 class TestTableIVZoo:
@@ -82,9 +81,16 @@ class TestGraphConstruction:
                          interaction_group=4, quantized=False)
         batch = 8
         g = build_dlrm_graph(cfg, batch)
-        gen = WorkloadGenerator(cfg, batch_size=batch, zipf_alpha=None)
-        request = gen.next_request()
-        feeds = gen.feeds_for(request)
+        feeds = {}
+        for node in g:
+            if node.op != "input":
+                continue
+            shape, dtype = node.meta.shape, node.meta.dtype.numpy_dtype
+            if np.issubdtype(dtype, np.integer):
+                feeds[node.name] = rng.integers(
+                    0, cfg.rows_per_table, size=shape, dtype=dtype)
+            else:
+                feeds[node.name] = rng.standard_normal(shape).astype(dtype)
         outputs, report = GraphExecutor(mode="eager").run(g, feeds)
         logit = outputs[g.outputs[0]]
         assert logit.shape == (batch, 1)
@@ -107,55 +113,6 @@ class TestGraphConstruction:
         assert slices[-1][1] == cfg.full_feature_width
         for (s1, e1), (s2, e2) in zip(slices, slices[1:]):
             assert e1 == s2
-
-
-class TestWorkloads:
-    def test_request_shapes(self):
-        cfg = MODEL_ZOO["LC2"]
-        gen = WorkloadGenerator(cfg, batch_size=16)
-        req = gen.next_request()
-        assert req.dense.shape == (16, cfg.dense_features)
-        assert len(req.indices) == cfg.num_tables
-        assert req.indices["indices0"].shape == (16, cfg.pooling)
-
-    def test_indices_in_range(self):
-        cfg = MODEL_ZOO["LC2"]
-        gen = WorkloadGenerator(cfg, batch_size=64)
-        for req in gen.requests(3):
-            for idx in req.indices.values():
-                assert idx.min() >= 0
-                assert idx.max() < cfg.rows_per_table
-
-    def test_request_ids_increment(self):
-        gen = WorkloadGenerator(MODEL_ZOO["LC2"], batch_size=4)
-        ids = [r.request_id for r in gen.requests(5)]
-        assert ids == [0, 1, 2, 3, 4]
-
-    def test_zipf_traffic_is_skewed(self):
-        cfg = MODEL_ZOO["LC2"]
-        skewed = WorkloadGenerator(cfg, batch_size=256, zipf_alpha=1.05,
-                                   seed=3)
-        uniform = WorkloadGenerator(cfg, batch_size=256, zipf_alpha=None,
-                                    seed=3)
-        s = access_skew(skewed.next_request().indices["indices0"])
-        u = access_skew(uniform.next_request().indices["indices0"])
-        assert s > 5 * u
-
-    def test_feeds_cover_graph_inputs(self):
-        cfg = MODEL_ZOO["LC2"]
-        g = build_dlrm_graph(cfg, 8)
-        gen = WorkloadGenerator(cfg, batch_size=8)
-        feeds = gen.feeds_for(gen.next_request())
-        input_names = {n.name for n in g if n.op == "input"}
-        assert input_names <= set(feeds)
-
-    def test_determinism_by_seed(self):
-        cfg = MODEL_ZOO["LC2"]
-        a = WorkloadGenerator(cfg, batch_size=8, seed=9).next_request()
-        b = WorkloadGenerator(cfg, batch_size=8, seed=9).next_request()
-        np.testing.assert_array_equal(a.dense, b.dense)
-        np.testing.assert_array_equal(a.indices["indices1"],
-                                      b.indices["indices1"])
 
 
 class TestTrends:

@@ -226,24 +226,6 @@ class TestObservedFeed:
         assert set(feed.service_us) == {0, 1, 2}
         for value in feed.service_us.values():
             assert 0.0 < value < HEDGE_MODEL(16)
-        static = [11.0, 12.0, 13.0]
-        merged = feed.observed_service_estimates(static)
-        assert merged.shape == (3,)
-        assert not np.array_equal(merged, static)
-
-    def test_with_observed_service_closes_the_loop(self, report):
-        feed = report.observed_latency()
-        config = report.with_observed_service()
-        for spec in config.replicas:
-            assert spec.service_us == feed.service_us[spec.replica]
-        # the re-routed run is a valid simulation of the same trace
-        trace = replace(trace_preset("flash_crowd",
-                                     target_qps=300_000.0),
-                        duration_us=20_000.0)
-        second = simulate_fleet(HEDGE_MODEL, trace, config)
-        assert second.latencies_us.size == report.latencies_us.size
-        assert_paths_exact(second, fleet_critical_path,
-                           range(0, second.latencies_us.size, 7))
 
     def test_to_dict_shape_and_determinism(self, report):
         feed = report.observed_latency()

@@ -1,4 +1,4 @@
-"""Fleet serving: router, replicas, faults, autoscaling, capacity."""
+"""Fleet serving: router, replicas, faults, capacity."""
 
 import json
 from dataclasses import replace
@@ -8,13 +8,13 @@ import pytest
 
 from repro.faults import FaultEvent, FaultPlan, generate_fleet_plan
 from repro.serving.capacity import plan_fleet_capacity
-from repro.serving.fleet import (ROUTING_POLICIES, AutoscaleConfig,
-                                 FleetConfig, ReplicaSpec, RouterConfig,
-                                 ShardedLatencyModel, TabularLatencyModel,
-                                 route_requests, simulate_fleet,
-                                 simulate_fleet_autoscaled, uniform_fleet)
+from repro.serving.fleet import (ROUTING_POLICIES, FleetConfig,
+                                 ReplicaSpec, RouterConfig,
+                                 TabularLatencyModel, route_requests,
+                                 simulate_fleet, uniform_fleet)
 from repro.serving.resilience import ResilienceConfig
-from repro.serving.simulator import STATUS_SERVED
+from repro.serving.simulator import (STATUS_SERVED, BatchingConfig,
+                                     simulate_serving)
 from repro.serving.traffic import trace_preset
 
 MODEL = TabularLatencyModel(batches=(1, 2, 4, 8, 16, 32, 64, 128, 256),
@@ -48,7 +48,10 @@ class TestLatencyModels:
     def test_tabular_rounds_up_to_next_candidate(self):
         assert MODEL(3) == 72.0
         assert MODEL(64) == 260.0
-        assert MODEL(1000) == 860.0     # clamps at the top
+        assert MODEL(256) == 860.0
+        with pytest.raises(ValueError, match="batch 257 exceeds the "
+                           "largest modelled batch 256"):
+            MODEL(257)
 
     def test_tabular_from_batch_model_matches(self):
         from repro.eval.machines import MACHINES
@@ -60,33 +63,18 @@ class TestLatencyModels:
         for batch in (1, 16, 256):
             assert table(batch) == pytest.approx(base(batch))
 
+    def test_engine_refuses_batches_above_the_table(self):
+        # saturated, the engine forms 257-request batches it cannot price
+        with pytest.raises(ValueError, match="batch 257 exceeds"):
+            simulate_serving(MODEL, qps=2_000_000.0,
+                             batching=BatchingConfig(max_batch=257),
+                             num_requests=2_000)
+
     def test_tabular_validation(self):
         with pytest.raises(ValueError):
             TabularLatencyModel(batches=(4, 1), latency_us=(1.0, 2.0))
         with pytest.raises(ValueError):
             TabularLatencyModel(batches=(), latency_us=())
-
-    def test_sharded_model_fans_out_sparse_time(self):
-        base = TabularLatencyModel(batches=(256,), latency_us=(1000.0,))
-        solo = ShardedLatencyModel(base=base, shards=1)
-        quad = ShardedLatencyModel(base=base, shards=4,
-                                   sparse_fraction=0.6,
-                                   merge_us_per_shard=5.0, imbalance=0.0)
-        assert solo(256) == 1000.0
-        # dense 400 + sparse 600/4 + merge 15
-        assert quad(256) == pytest.approx(400.0 + 150.0 + 15.0)
-
-    def test_sharded_table_from_multi_card_curves(self):
-        from repro.eval.machines import MACHINES
-        from repro.models.configs import MODEL_ZOO
-        from repro.serving.fleet import sharded_latency_table
-        t1 = sharded_latency_table(MODEL_ZOO["LC2"], MACHINES["mtia"],
-                                   shards=1, candidate_batches=(64, 256))
-        t4 = sharded_latency_table(MODEL_ZOO["LC2"], MACHINES["mtia"],
-                                   shards=4, candidate_batches=(64, 256))
-        # sharding overlaps sparse lookups: never slower than one card
-        assert t4(256) <= t1(256)
-        assert t4(256) > 0
 
 
 class TestRouter:
@@ -257,43 +245,6 @@ class TestFaultPlanGeneration:
                    for targets in by_window.values())
 
 
-class TestAutoscaling:
-    def test_scales_up_under_overload(self):
-        trace = short_trace(qps=900_000.0, duration_us=40_000.0)
-        config = FleetConfig(replicas=uniform_fleet(1),
-                             router=RouterConfig(policy="least_loaded"))
-        auto = AutoscaleConfig(epoch_us=10_000.0, min_replicas=1,
-                               max_replicas=8)
-        report = simulate_fleet_autoscaled(MODEL, trace, config, auto,
-                                           sla_us=1_500.0)
-        timeline = report.replica_timeline
-        assert timeline[-1] > timeline[0]
-        assert any(e.action == "up" for e in report.epochs)
-
-    def test_scales_down_when_idle(self):
-        trace = short_trace(qps=30_000.0, duration_us=40_000.0)
-        config = FleetConfig(replicas=uniform_fleet(6),
-                             router=RouterConfig(policy="least_loaded"))
-        auto = AutoscaleConfig(epoch_us=10_000.0, min_replicas=1,
-                               max_replicas=8)
-        report = simulate_fleet_autoscaled(MODEL, trace, config, auto,
-                                           sla_us=5_000.0)
-        assert report.replica_timeline[-1] < 6
-        assert any(e.action == "down" for e in report.epochs)
-
-    def test_autoscale_replays_identically(self):
-        trace = short_trace(qps=600_000.0, duration_us=30_000.0)
-        config = FleetConfig(replicas=uniform_fleet(2),
-                             router=RouterConfig(policy="power_of_two"))
-        auto = AutoscaleConfig(epoch_us=10_000.0, max_replicas=6)
-        a = simulate_fleet_autoscaled(MODEL, trace, config, auto,
-                                      sla_us=1_500.0)
-        b = simulate_fleet_autoscaled(MODEL, trace, config, auto,
-                                      sla_us=1_500.0)
-        assert (json.dumps(a.to_dict(), sort_keys=True)
-                == json.dumps(b.to_dict(), sort_keys=True))
-
-
 class TestFleetCapacity:
     def test_returns_minimum_passing_size(self):
         trace = short_trace(qps=600_000.0)
@@ -345,8 +296,3 @@ class TestConfigValidation:
         assert [s.rack for s in specs] == [0, 1, 2]
         assert [s.power_domain for s in specs] == [0, 1, 2]
 
-    def test_autoscale_validation(self):
-        with pytest.raises(ValueError):
-            AutoscaleConfig(min_replicas=5, max_replicas=2)
-        with pytest.raises(ValueError):
-            AutoscaleConfig(upscale_burn=0.1, downscale_burn=0.5)

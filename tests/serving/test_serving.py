@@ -148,7 +148,10 @@ class TestBatchLatencyModel:
 
     def test_rounds_up_to_candidate(self, model):
         assert model(3) == model(4)
-        assert model(1000) == model(256)
+        # a batch above the table is refused, not priced as the top entry
+        with pytest.raises(ValueError, match="batch 1000 exceeds the "
+                           "largest modelled batch 256"):
+            model(1000)
 
 
 class TestCapacityPlanning:

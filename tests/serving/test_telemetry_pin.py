@@ -97,7 +97,7 @@ PINNED: Dict[int, Dict[str, str]] = {
         "series.requests": "1502b853973f167f",
         "series.latency_us": "35a314886c2a2688",
         "series.queue_depth": "aa42f8a07a30161c",
-        "report": "577a8ef01f7161ad",
+        "report": "78720f90e2f760b7",
     },
     1: {
         "replica0": "caeeab29fc327ac8",
@@ -116,7 +116,7 @@ PINNED: Dict[int, Dict[str, str]] = {
         "series.requests": "d2fb5dcdada45edf",
         "series.latency_us": "4fac3585c5ecc94a",
         "series.queue_depth": "40e67f4fa02ae5dc",
-        "report": "0074c9f993cf6fcf",
+        "report": "f7c53710455e1dd2",
     },
     2: {
         "replica0": "0370440ae43014c6",
@@ -135,7 +135,7 @@ PINNED: Dict[int, Dict[str, str]] = {
         "series.requests": "c4d1fe077dff560d",
         "series.latency_us": "54df2ef089c53dc0",
         "series.queue_depth": "7c66810f5aa02067",
-        "report": "48896a0944a0b9ec",
+        "report": "1bc9f13635aa697a",
     },
 }
 

@@ -22,6 +22,8 @@ CASES = [
     ("serve_report", "quickstart --requests -5", "--requests"),
     ("serve_report", "quickstart --qps 0", "--qps"),
     ("serve_report", "quickstart --max-batch 0", "--max-batch"),
+    ("serve_report", "quickstart --max-batch 257", "--max-batch"),
+    ("serve_report", "quickstart --max-batch 1024 --json", "--max-batch"),
     ("serve_report", "quickstart --critical --critical-k -1", "--critical-k"),
     ("serve_report", "quickstart --availability 1.5", "--availability"),
     ("serve_report", "quickstart --window-us 0", "--window-us"),
