@@ -3,31 +3,27 @@
 The MTIA software stack's performance hinges on mapping decisions —
 Figure 7 tilings, sub-grid shapes, SRAM vs DRAM operand placement,
 EB→TBE fusion, pipelining depth — that this repo previously hand-picked
-per operator.  ``repro.autotune`` searches that space instead:
+per operator.  ``repro.autotune`` ranks that whole space instead:
 
 * :mod:`repro.autotune.space` — legal-candidate enumeration per
   operator shape (:class:`MappingSpace`, :class:`MappingCandidate`);
-* :mod:`repro.autotune.cost` — phase-1 ranking with the calibrated
-  analytical model (:class:`CostedCandidate`);
-* :mod:`repro.autotune.search` — seeded beam + evolutionary search
-  with byte-replayable traces (:func:`run_search`);
+* :mod:`repro.autotune.cost` — phase-1 ranking of every candidate with
+  the calibrated analytical model (:func:`rank_space`,
+  :class:`CostedCandidate`);
 * :mod:`repro.autotune.validate` — phase-2 DES measurement of the
-  survivors (:func:`validate_candidates`, :func:`hand_candidate`);
+  model's top-k (:func:`validate_candidates`, :func:`hand_candidate`);
 * :mod:`repro.autotune.tuner` — the end-to-end loop and report
   (:func:`autotune`);
 * ``python -m repro.autotune`` — the CLI.
 
-Everything is deterministic in the seed: same seed ⇒ byte-identical
-search trace, survivors, and report, at any ``--jobs`` count.  The
-conformance runner's ``autotune`` pillar enforces exactly that.
+Nothing is random: the same shape and ``--topk`` give a byte-identical
+ranking and report at any ``--jobs`` count.  The conformance runner's
+``autotune`` pillar enforces exactly that.
 """
 
-from repro.autotune.cost import CostedCandidate, candidate_cost
-from repro.autotune.rng import SplitMix64
-from repro.autotune.search import (SearchConfig, SearchResult, SearchTrace,
-                                   brute_force, run_search)
+from repro.autotune.cost import CostedCandidate, candidate_cost, rank_space
 from repro.autotune.space import (FCShape, MappingCandidate, MappingSpace,
-                                  TBEShape, candidate_from_dict,
+                                  TBEShape, candidate_from_dict, key_str,
                                   shape_from_dict)
 from repro.autotune.tuner import (SCHEMA_VERSION, AutotuneResult, autotune,
                                   render_text)
@@ -37,9 +33,8 @@ from repro.autotune.validate import (ValidatedCandidate, hand_candidate,
 
 __all__ = [
     "AutotuneResult", "CostedCandidate", "FCShape", "MappingCandidate",
-    "MappingSpace", "SCHEMA_VERSION", "SearchConfig", "SearchResult",
-    "SearchTrace", "SplitMix64", "TBEShape", "ValidatedCandidate",
-    "autotune", "brute_force", "candidate_cost", "candidate_from_dict",
-    "hand_candidate", "render_text", "run_search", "shape_from_dict",
+    "MappingSpace", "SCHEMA_VERSION", "TBEShape", "ValidatedCandidate",
+    "autotune", "candidate_cost", "candidate_from_dict", "hand_candidate",
+    "key_str", "rank_space", "render_text", "shape_from_dict",
     "simulate_candidate", "validate_candidates",
 ]

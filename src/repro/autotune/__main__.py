@@ -2,19 +2,19 @@
 
 Examples::
 
-    # the bench FC shape, default seed
+    # the bench FC shape
     python -m repro.autotune fc --m 512 --k 1024 --n 256
 
-    # the bench TBE shape, 3 seeds pooled, JSON report
+    # the bench TBE shape, JSON report
     python -m repro.autotune tbe --tables 8 --rows 100000 --dim 64 \\
-        --pooling 16 --batch 32 --seeds 3 --json
+        --pooling 16 --batch 32 --json
 
-    # budgeted smoke search, 4 simulation workers
+    # validate the model's top 2, 4 simulation workers
     python -m repro.autotune fc --m 512 --k 1024 --n 256 \\
-        --budget 50 --jobs 4
+        --topk 2 --jobs 4
 
-Output (text or ``--json``) is byte-identical for the same seed at any
-``--jobs`` count; every report embeds a ``replay`` command.
+Output (text or ``--json``) is byte-identical for the same arguments at
+any ``--jobs`` count; every report embeds a ``replay`` command.
 """
 
 from __future__ import annotations
@@ -26,15 +26,16 @@ from typing import List, Optional
 from repro.autotune.space import FCShape, MappingSpace, TBEShape
 from repro.autotune.tuner import autotune, render_text
 from repro.kernels.tbe import TBE_DIMS
-from repro.obs.cli import COUNT, add_jobs, add_seed, add_seeds, emit
+from repro.obs.cli import COUNT, add_jobs, emit
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.autotune",
-        description="Search the mapping space for one operator shape; "
-        "phase 1 ranks with the analytical cost model, phase 2 "
-        "validates the survivors on the cycle-level simulator.")
+        description="Tune the mapping of one operator shape; "
+        "phase 1 ranks every legal mapping with the analytical cost "
+        "model, phase 2 validates the top few on the cycle-level "
+        "simulator.")
     sub = parser.add_subparsers(dest="family", required=True)
 
     fc = sub.add_parser("fc", help="tune a fully-connected layer")
@@ -50,14 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
         tbe.add_argument(flag, dest=dim, type=COUNT, default=default)
 
     for p in (fc, tbe):
-        add_seed(p, help="search seed (default %(default)s)")
-        add_seeds(p, 1, help="run N consecutive seeds starting at --seed "
-                  "and pool the survivors (default %(default)s)")
-        p.add_argument("--budget", type=COUNT, default=200,
-                       help="max unique cost-model evaluations per seed "
-                       "(default %(default)s)")
         p.add_argument("--topk", type=COUNT, default=4,
-                       help="survivors to DES-validate "
+                       help="top-ranked mappings to DES-validate "
                        "(default %(default)s)")
         add_jobs(p)
         p.add_argument("--json", action="store_true",
@@ -76,9 +71,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if not space.candidates():
         parser.error(f"the mapping space for {shape.describe()} is empty: "
                      "no sub-grid, tiling or placement is legal for it")
-    result = autotune(shape, seed=args.seed, seeds=args.seeds,
-                      budget=args.budget, topk=args.topk, jobs=args.jobs,
-                      space=space)
+    result = autotune(shape, topk=args.topk, jobs=args.jobs, space=space)
     emit(result.to_dict() if args.json else render_text(result))
     return 0
 

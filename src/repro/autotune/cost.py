@@ -21,8 +21,9 @@ mapping-specific effects the opmodel's whole-chip curves cannot see:
 * **unfused TBE** — one dispatch *per table* and per-launch parallelism
   of only ``batch`` bags (the Section 6.1 launch-amortisation story).
 
-The model is intentionally cheap (microseconds per candidate) and only
-has to *rank* well: phase 2 re-measures the survivors in the DES.  It is
+The model is intentionally cheap (microseconds per candidate), so
+:func:`rank_space` costs every legal candidate of a space; it only has
+to *rank* well: phase 2 re-measures the top few in the DES.  It is
 a pure function of (shape, candidate) — no RNG, no globals — which the
 property suite relies on for cost invariance under re-canonicalisation.
 """
@@ -31,14 +32,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict
+from typing import Dict, List
 
 from repro.compiler.ops import OpCosts
 from repro.config import MTIA_V1, ChipConfig
 from repro.eval.machines import MTIA_MACHINE, MachineModel
 from repro.eval.opmodel import estimate_op
 
-from repro.autotune.space import FCShape, MappingCandidate, TBEShape
+from repro.autotune.space import (FCShape, MappingCandidate, MappingSpace,
+                                  TBEShape)
 
 
 @dataclass(frozen=True)
@@ -62,6 +64,13 @@ def candidate_cost(shape, cand: MappingCandidate,
     if c.op == "fc":
         return _fc_cost(shape, c, machine, config)
     return _tbe_cost(shape, c, machine, config)
+
+
+def rank_space(space: MappingSpace) -> List[CostedCandidate]:
+    """Phase 1: every legal candidate of ``space``, cheapest first."""
+    return sorted((candidate_cost(space.shape, c, config=space.config)
+                   for c in space.candidates()),
+                  key=CostedCandidate.sort_key)
 
 
 def _fc_cost(shape: FCShape, c: MappingCandidate, machine: MachineModel,

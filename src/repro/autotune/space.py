@@ -4,7 +4,7 @@ The MTIA performance story is a mapping story — Figure 7's tiling of an
 FC onto a sub-grid, Section 6.1's EB→TBE fusion, Section 5's SRAM
 tensor placement, Figure 12's pipelining depth.  The reproduction has
 so far hand-picked all of these; :class:`MappingSpace` instead
-*enumerates* the legal choices so a search loop can pick them.
+*enumerates* the legal choices so the tuner can rank all of them.
 
 Dimensions per operator family:
 
@@ -28,10 +28,10 @@ placement requires the operands to fit the 128 MB SRAM
 (``tests/property/test_autotune_properties.py`` proves every enumerated
 candidate passes the real kernel planners).
 
-The space is small enough to enumerate outright (a few hundred points);
-what is *expensive* is evaluating a point — microseconds for the
-opmodel, ~a second for the DES — so the search budget counts
-evaluations, not enumeration.
+The space is small enough to enumerate outright (a few hundred points)
+and a cost-model evaluation takes microseconds, so phase 1 costs every
+candidate; only the DES (~a second per point) is spent sparingly, on
+the model's top few.
 """
 
 from __future__ import annotations
@@ -42,8 +42,6 @@ from typing import Dict, List, Optional, Tuple
 from repro.config import MTIA_V1, ChipConfig, require_positive
 from repro.kernels.fc import TILE_K, TILE_MN
 from repro.kernels.tbe import TBE_DIMS
-
-from repro.autotune.rng import SplitMix64
 
 #: pipelining depths the TBE axis explores (powers of two; the paper's
 #: production kernel sits at the shallow end, hand-tuned at the deep).
@@ -122,11 +120,6 @@ def shape_from_dict(data: Dict):
     raise ValueError(f"unknown shape family {family!r}")
 
 
-#: Field order of the tiling vector (mutation/crossover operate on it).
-CANDIDATE_FIELDS = ("rows", "cols", "k_split", "use_multicast",
-                    "dual_core", "prefetch_rows", "operands", "fused")
-
-
 @dataclass(frozen=True, order=True)
 class MappingCandidate:
     """One point in the mapping space.
@@ -156,7 +149,7 @@ class MappingCandidate:
                        dual_core=True)
 
     def key(self) -> Tuple:
-        """Canonical total-order key (search tie-breaker, trace id)."""
+        """Canonical total-order key (ranking tie-breaker, report id)."""
         c = self.canonical()
         return (c.op, c.rows, c.cols, c.k_split, c.use_multicast,
                 c.dual_core, c.prefetch_rows, c.operands, c.fused)
@@ -188,6 +181,11 @@ class MappingCandidate:
                 bits.append("unfused")
         bits.append(c.operands)
         return " ".join(bits)
+
+
+def key_str(cand: MappingCandidate) -> str:
+    """The candidate key as a compact stable string (report id)."""
+    return "/".join(str(part) for part in cand.key())
 
 
 def candidate_from_dict(data: Dict) -> MappingCandidate:
@@ -351,48 +349,3 @@ class MappingSpace:
 
     def __len__(self) -> int:
         return len(self.candidates())
-
-    def __contains__(self, cand: MappingCandidate) -> bool:
-        return cand.canonical() in set(self.candidates())
-
-    # -- search moves -----------------------------------------------------
-    def neighbors(self, cand: MappingCandidate) -> List[MappingCandidate]:
-        """Legal candidates differing from ``cand`` in exactly one axis."""
-        base = cand.canonical()
-        base_dict = base.to_dict()
-        out = []
-        for other in self.candidates():
-            if other == base:
-                continue
-            diff = sum(1 for f in CANDIDATE_FIELDS
-                       if other.to_dict()[f] != base_dict[f])
-            if diff == 1:
-                out.append(other)
-        return out
-
-    def sample(self, rng: SplitMix64, count: int) -> List[MappingCandidate]:
-        """``count`` distinct candidates, deterministic in the stream."""
-        return rng.sample(self.candidates(), count)
-
-    def mutate(self, cand: MappingCandidate,
-               rng: SplitMix64) -> MappingCandidate:
-        """A random single-axis move (or ``cand`` if it has none)."""
-        moves = self.neighbors(cand)
-        if not moves:
-            return cand.canonical()
-        return rng.choice(moves)
-
-    def crossover(self, a: MappingCandidate, b: MappingCandidate,
-                  rng: SplitMix64) -> MappingCandidate:
-        """Mix two parents field-by-field; fall back to ``a`` if the
-        child is illegal (joint constraints like cols/k_split can make
-        naive mixes untileable)."""
-        a, b = a.canonical(), b.canonical()
-        fields = {}
-        for name in CANDIDATE_FIELDS:
-            fields[name] = (a.to_dict()[name] if rng.uniform() < 0.5
-                            else b.to_dict()[name])
-        child = MappingCandidate(op=a.op, **fields).canonical()
-        if self.legal(child)[0]:
-            return child
-        return a

@@ -1,23 +1,21 @@
-"""The two-phase autotuner: cost-model search, DES-validated winners.
+"""The two-phase autotuner: cost-model ranking, DES-validated winners.
 
 :func:`autotune` glues the pieces together the way baybe's two-phase
 meta-recommender does — a cheap model proposes, measurements dispose:
 
 1. enumerate the :class:`~repro.autotune.space.MappingSpace` for the
    shape;
-2. phase 1: seeded beam + evolutionary search under the opmodel cost
-   (:func:`repro.autotune.search.run_search`), producing a replayable
-   :class:`~repro.autotune.search.SearchTrace`;
-3. phase 2: the top-k survivors *plus the hand-written baseline* run
+2. phase 1: cost every legal candidate with the opmodel and sort by
+   :meth:`~repro.autotune.cost.CostedCandidate.sort_key`
+   (:func:`repro.autotune.cost.rank_space`) — the space is a few
+   hundred points and a cost call takes microseconds, so phase 1 sees
+   the model's exact top-k;
+3. phase 2: the top-k candidates *plus the hand-written baseline* run
    through the cycle-level DES (:func:`repro.autotune.validate
    .validate_candidates`), fanning out over ``--jobs`` workers;
 4. the winner is the candidate with the fewest *measured* cycles —
    never the predicted ones — and the result records the speedup over
    the hand-written mapping honestly, including when it is ≤ 1.
-
-Multi-seed runs (``--seeds``) repeat phase 1 with consecutive seeds and
-pool the distinct survivors before the single phase-2 pass, so extra
-seeds only cost cheap model evaluations, not simulations.
 
 The JSON report is schema-pinned (``tests/golden``) and every result
 carries a ``replay`` command that reproduces it byte-for-byte.
@@ -25,16 +23,15 @@ carries a ``replay`` command that reproduces it byte-for-byte.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from repro.autotune.search import (SearchConfig, SearchResult, key_str,
-                                   run_search)
-from repro.autotune.space import MappingCandidate, MappingSpace
+from repro.autotune.cost import candidate_cost, rank_space
+from repro.autotune.space import MappingSpace, key_str
 from repro.autotune.validate import (ValidatedCandidate, hand_candidate,
                                      validate_candidates)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -42,12 +39,9 @@ class AutotuneResult:
     """Everything one ``autotune`` invocation decided and measured."""
 
     shape: object
-    seeds: List[int]
-    config: SearchConfig
-    searches: List[SearchResult]
+    space_size: int                         #: candidates the model costed
     validated: List[ValidatedCandidate]     #: fewest cycles first
     baseline: ValidatedCandidate            #: the hand-written mapping
-    jobs: int = 1
 
     @property
     def winner(self) -> ValidatedCandidate:
@@ -60,10 +54,6 @@ class AutotuneResult:
             return 0.0
         return self.baseline.sim_cycles / self.winner.sim_cycles
 
-    @property
-    def space_size(self) -> int:
-        return self.searches[0].trace.space_size
-
     def replay_command(self) -> str:
         shape = self.shape
         if shape.family == "fc":
@@ -75,23 +65,14 @@ class AutotuneResult:
                     f"--dim {shape.embedding_dim} "
                     f"--pooling {shape.pooling_factor} "
                     f"--batch {shape.batch_size}")
-        seeds = (f"--seed {self.seeds[0]}" if len(self.seeds) == 1
-                 else f"--seed {self.seeds[0]} --seeds {len(self.seeds)}")
-        return (f"python -m repro.autotune {spec} {seeds} "
-                f"--budget {self.config.budget} --topk "
-                f"{len(self.validated)} --jobs 1")
+        return (f"python -m repro.autotune {spec} "
+                f"--topk {len(self.validated)} --jobs 1")
 
     def to_dict(self) -> Dict:
         return {
             "schema_version": SCHEMA_VERSION,
             "shape": self.shape.to_dict(),
-            "seeds": list(self.seeds),
-            "search": {
-                "config": self.config.to_dict(),
-                "space_size": self.space_size,
-                "budget_used": [s.trace.budget_used for s in self.searches],
-                "trace_digests": [s.trace.digest() for s in self.searches],
-            },
+            "search": {"space_size": self.space_size},
             "validated": [
                 {"candidate": v.candidate.to_dict(),
                  "key": key_str(v.candidate),
@@ -117,73 +98,38 @@ class AutotuneResult:
         }
 
 
-def autotune(shape, seed: int = 0, seeds: int = 1, budget: int = 200,
-             topk: int = 4, jobs: int = 1,
-             space: Optional[MappingSpace] = None,
-             search_config: Optional[SearchConfig] = None
-             ) -> AutotuneResult:
-    """Tune ``shape``; deterministic in (seed, seeds, budget, topk)."""
-    if seeds < 1:
-        raise ValueError(f"seeds must be >= 1, got {seeds!r}")
+def autotune(shape, topk: int = 4, jobs: int = 1,
+             space: Optional[MappingSpace] = None) -> AutotuneResult:
+    """Tune ``shape``: rank the whole space, DES-validate the top ``topk``."""
     if space is None:
         space = MappingSpace(shape=shape)
-    seed_list = [seed + i for i in range(seeds)]
-    searches: List[SearchResult] = []
-    for s in seed_list:
-        config = (search_config if search_config is not None
-                  else SearchConfig(seed=s, budget=budget))
-        if config.seed != s:
-            config = SearchConfig(**{**config.to_dict(), "seed": s})
-        searches.append(run_search(space, config))
-
-    # Pool distinct phase-1 survivors across seeds, preserving rank.
-    chosen: List = []
-    seen = set()
-    rank = 0
-    while len(chosen) < topk:
-        progressed = False
-        for result in searches:
-            if rank < len(result.ranked):
-                progressed = True
-                cc = result.ranked[rank]
-                key = cc.candidate.key()
-                if key not in seen and len(chosen) < topk:
-                    seen.add(key)
-                    chosen.append(cc)
-        if not progressed:
-            break
-        rank += 1
+    ranked = rank_space(space)
+    chosen = ranked[:topk]
+    keys = {cc.candidate.key() for cc in chosen}
 
     # The hand-written baseline rides along in the same validation batch
     # (one worker pool, same measurement path for both sides).
-    from repro.autotune.cost import candidate_cost
     hand = hand_candidate(shape, config=space.config)
     batch = list(chosen)
-    if hand.key() not in seen:
+    if hand.key() not in keys:
         batch.append(candidate_cost(shape, hand, config=space.config))
     validated = validate_candidates(shape, batch, jobs=jobs)
-    by_key = {key_str(v.candidate): v for v in validated}
-    baseline = by_key[key_str(hand)]
-    # Winner ranking considers only the searched survivors (the baseline
-    # still wins the table if it is genuinely fastest and was searched).
-    searched = [v for v in validated
-                if v.candidate.key() in seen]
-    final_config = (search_config if search_config is not None
-                    else SearchConfig(seed=seed_list[0], budget=budget))
-    return AutotuneResult(shape=shape, seeds=seed_list,
-                          config=final_config, searches=searches,
-                          validated=searched, baseline=baseline,
-                          jobs=jobs)
+    baseline = next(v for v in validated
+                    if v.candidate.key() == hand.key())
+    # Winner ranking considers only the model's top-k (the baseline
+    # still wins the table if it is genuinely fastest and ranked there).
+    return AutotuneResult(
+        shape=shape, space_size=len(ranked),
+        validated=[v for v in validated if v.candidate.key() in keys],
+        baseline=baseline)
 
 
 def render_text(result: AutotuneResult) -> str:
     """Human-readable report (the CLI's default output)."""
     shape = result.shape
     lines = [f"autotune {shape.describe()}",
-             f"space: {result.space_size} legal mappings; "
-             f"budget used: "
-             f"{sum(s.trace.budget_used for s in result.searches)} "
-             f"cost evals over {len(result.seeds)} seed(s)",
+             f"space: {result.space_size} legal mappings, all costed; "
+             f"top {len(result.validated)} DES-validated",
              "",
              f"{'mapping':<32} {'predicted_us':>12} {'sim_cycles':>12} "
              f"{'vs hand':>8}"]

@@ -53,12 +53,6 @@ def _engine_extras(acc) -> Dict:
             "peak_heap_size": stats["peak_heap_size"]}
 
 
-#: seed/budget of the opt-in ``--autotuned`` search (fixed so bench
-#: rows are reproducible; the replay command is in the extras)
-_AUTOTUNE_SEED = 0
-_AUTOTUNE_BUDGET = 60
-
-
 def _autotuned_extras(shape, hand_cycles: float) -> Dict:
     """Tune the bench shape and report the winner next to the hand row.
 
@@ -69,8 +63,7 @@ def _autotuned_extras(shape, hand_cycles: float) -> Dict:
     """
     from repro.autotune import autotune
 
-    result = autotune(shape, seed=_AUTOTUNE_SEED,
-                      budget=_AUTOTUNE_BUDGET, topk=2, jobs=1)
+    result = autotune(shape, topk=2, jobs=1)
     winner = result.winner
     return {"autotuned_mapping": winner.candidate.describe(),
             "autotuned_sim_cycles": winner.sim_cycles,
@@ -194,7 +187,7 @@ def _bench_dlrm(autotuned: bool = False) -> Dict:
 
 BENCHES = {"fc": _bench_fc, "tbe": _bench_tbe, "dlrm": _bench_dlrm}
 
-#: workloads with a mapping space the ``--autotuned`` column can search
+#: workloads with a mapping space the ``--autotuned`` column can tune
 _AUTOTUNABLE = ("fc", "tbe")
 
 
@@ -212,7 +205,7 @@ def run_bench(label: str = DEFAULT_LABEL,
     ``jobs > 1`` runs workloads in worker processes.  Simulated metrics
     are identical at any job count; ``wall_time_s`` is only meaningful
     as a trajectory number when measured at ``jobs=1`` on an idle host.
-    ``autotuned=True`` additionally tunes each mapping-searchable
+    ``autotuned=True`` additionally tunes each mapping-tunable
     workload (fc, tbe) and records the winner in the row's extras.
     """
     names = workloads or sorted(BENCHES)
@@ -411,8 +404,8 @@ def main(argv: Optional[List[str]] = None) -> int:
              "identical at any job count, but wall times "
              "are only trajectory-comparable at --jobs 1")
     parser.add_argument("--autotuned", action="store_true",
-                        help="also search each workload's mapping space "
-                        "(repro.autotune, fixed seed) and report the "
+                        help="also tune each workload's mapping "
+                        "(repro.autotune) and report the "
                         "tuned mapping's DES cycles as an extra column; "
                         "headline metrics stay the hand-written mapping")
     parser.add_argument("--trajectory", action="store_true",

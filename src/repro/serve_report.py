@@ -470,7 +470,8 @@ def run_fleet_report(workload: str = "quickstart",
                      primary_policy: str = "power_of_two",
                      availability: float = 0.999,
                      with_faults: bool = False,
-                     jobs: int = 1):
+                     jobs: int = 1,
+                     batching: BatchingConfig = BatchingConfig()):
     """Run the fleet workload: policy comparison + capacity answer.
 
     Returns ``(FleetServeReport, {policy: FleetReport})`` — the second
@@ -521,7 +522,7 @@ def run_fleet_report(workload: str = "quickstart",
                                    power_domains=power_domains),
             router=RouterConfig(policy=policy, route_latency_us=15.0,
                                 seed=seed),
-            resilience=resilience,
+            batching=batching, resilience=resilience,
             racks=racks, power_domains=power_domains, seed=seed)
         report = simulate_fleet(model, trace, config,
                                 fault_plan=fault_plan, jobs=jobs,
@@ -543,7 +544,7 @@ def run_fleet_report(workload: str = "quickstart",
         replicas=uniform_fleet(1),
         router=RouterConfig(policy=primary_policy,
                             route_latency_us=15.0, seed=seed),
-        resilience=resilience,
+        batching=batching, resilience=resilience,
         racks=racks, power_domains=power_domains, seed=seed)
     capacity = plan_fleet_capacity(
         model, trace, sla_us, availability_target=availability,
@@ -684,6 +685,8 @@ def main(argv: Optional[List[str]] = None) -> int:
                      f"{CANDIDATE_BATCHES[-1]} (the largest modelled "
                      f"batch), got {args.max_batch}")
 
+    batching = BatchingConfig(max_batch=args.max_batch,
+                              max_wait_us=args.max_wait_us)
     if args.fleet:
         report, fleet_reports = run_fleet_report(
             args.workload, trace_name=args.trace_name, qps=args.qps,
@@ -691,11 +694,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             seed=args.seed, replicas=max(2, args.replicas),
             racks=args.racks, power_domains=args.power_domains,
             primary_policy=args.policy, availability=args.availability,
-            with_faults=args.faults, jobs=args.jobs)
+            with_faults=args.faults, jobs=args.jobs, batching=batching)
         served = fleet_reports[report.primary_policy]
     else:
-        batching = BatchingConfig(max_batch=args.max_batch,
-                                  max_wait_us=args.max_wait_us)
         report, latency_model = run_serve_report(
             args.workload, qps=args.qps, sla_us=args.sla_us,
             num_requests=args.requests, seed=args.seed,

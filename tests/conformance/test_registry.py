@@ -43,7 +43,7 @@ STEERS = {
     "graph": lambda run: run(mode="eager"),
     "serving": lambda run: run(faults=_faults("card.slowdown", 2.0)),
     "fleet": lambda run: run(seed=12345),
-    "autotune": lambda run: run(seed=12345),
+    "autotune": lambda run: run(operands=("dram",)),
 }
 
 

@@ -165,14 +165,12 @@ def fleet_capacity_schema() -> dict:
 def autotune_report_schema() -> dict:
     """Key-set schema of ``python -m repro.autotune --json``."""
     from repro.autotune import FCShape, autotune
-    result = autotune(FCShape(m=128, k=64, n=128), seed=0, budget=30,
-                      topk=2, jobs=1)
+    result = autotune(FCShape(m=128, k=64, n=128), topk=2, jobs=1)
     data = result.to_dict()
     return {
         "top_level": sorted(data),
         "shape": sorted(data["shape"]),
         "search": sorted(data["search"]),
-        "search_config": sorted(data["search"]["config"]),
         "validated_row": sorted(data["validated"][0]),
         "candidate": sorted(data["validated"][0]["candidate"]),
         "baseline": sorted(data["baseline"]),

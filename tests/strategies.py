@@ -185,10 +185,6 @@ def hardware_fault_plans(draw):
 
 # -- autotune ----------------------------------------------------------------
 
-#: seeds for the mapping-space search determinism properties.
-search_seeds = st.integers(0, 2 ** 32 - 1)
-
-
 @st.composite
 def fc_mapping_shapes(draw):
     """FC shape families with at least one legal mapping each.

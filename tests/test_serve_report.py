@@ -131,6 +131,15 @@ class TestServeReport:
                      "-o", str(trace)]) == 0
         assert json.loads(trace.read_text())["traceEvents"]
 
+    def test_fleet_cli_honours_batching_flags(self, tmp_path):
+        out = tmp_path / "fleet.json"
+        assert main(["quickstart", "--fleet", "--duration-us", "2000",
+                     "--max-batch", "4", "--max-wait-us", "5",
+                     "--json", "-o", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["fleet"]["config"]["batching"] == {"max_batch": 4,
+                                                       "max_wait_us": 5.0}
+
 
 class TestBench:
     def test_run_bench_schema(self):
