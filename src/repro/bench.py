@@ -29,7 +29,8 @@ import sys
 import time
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.cli import add_jobs, add_sim_cache, emit, use_sim_cache
+from repro.obs.cli import (OUTPUT_DIR, add_jobs, add_sim_cache, emit,
+                           use_sim_cache)
 
 SCHEMA_VERSION = 1
 DEFAULT_LABEL = "pr10"  # bump per PR; the trajectory lives in git
@@ -382,7 +383,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--label", default=DEFAULT_LABEL,
                         help="trajectory label; output file is "
                         "BENCH_<label>.json (default %(default)s)")
-    parser.add_argument("--output-dir", "-o", default=".",
+    parser.add_argument("--output-dir", "-o", type=OUTPUT_DIR, default=".",
                         help="directory for BENCH_<label>.json")
     parser.add_argument("--compare", default=None, metavar="BASELINE",
                         help="baseline BENCH_*.json to diff against, or "

@@ -25,7 +25,8 @@ from repro.conformance.fuzzer import OP_FAMILIES
 from repro.conformance.golden import TolerancePolicy
 from repro.conformance.runner import (PILLARS, CaseResult,
                                       ConformanceConfig, run_conformance)
-from repro.obs.cli import SEED, add_jobs, add_seed, add_seeds, comma_list, emit
+from repro.obs.cli import (OUTPUT, SEED, add_jobs, add_seed, add_seeds,
+                           comma_list, emit)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -63,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
                         default=TolerancePolicy().rtol,
                         help="relative tolerance for fp comparisons")
     add_jobs(parser)
-    parser.add_argument("--json", metavar="PATH", default=None,
+    parser.add_argument("--json", metavar="PATH", type=OUTPUT, default=None,
                         help="write the full JSON report to PATH "
                         "('-' for stdout)")
     parser.add_argument("--quiet", action="store_true",

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.config import MTIA_V1, ChipConfig
 from repro.core.accelerator import Accelerator
-from repro.obs.cli import POSITIVE, add_jobs, bounded, emit
+from repro.obs.cli import OUTPUT, POSITIVE, add_jobs, bounded, emit
 from repro.obs.critical import CriticalPath, extract_critical_path
 from repro.obs.whatif import (RESOURCE_SCALINGS, project_whatif,
                               scaled_chip_config)
@@ -218,7 +218,7 @@ def main(argv: Optional[list] = None) -> int:
                         "path" % "/".join(sorted(WORKLOADS)))
     parser.add_argument("--format", choices=("text", "json", "chrome"),
                         default="text", help="report format")
-    parser.add_argument("--output", "-o", default=None,
+    parser.add_argument("--output", "-o", type=OUTPUT, default=None,
                         help="write to this file instead of stdout")
     parser.add_argument("--top", type=bounded(int, 0), default=10,
                         help="resources/segments shown in the text report")

@@ -22,8 +22,8 @@ import argparse
 import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.obs.cli import (add_jobs, add_seed, add_seeds, add_sim_cache,
-                       comma_list, emit, use_sim_cache)
+from repro.obs.cli import (OUTPUT, add_jobs, add_seed, add_seeds,
+                            add_sim_cache, comma_list, emit, use_sim_cache)
 
 SWEEP_KINDS = ("fc", "tbe")
 
@@ -64,7 +64,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     add_sim_cache(parser, help="enable the sim-result cache ('mem' or a "
                   "directory); repeated sweeps replay cached sim "
                   "results bit-identically")
-    parser.add_argument("--json", metavar="PATH", default=None,
+    parser.add_argument("--json", metavar="PATH", type=OUTPUT, default=None,
                         help="write results as JSON to PATH "
                         "('-' for stdout)")
     args = parser.parse_args(argv)

@@ -22,8 +22,8 @@ import sys
 from typing import List, Optional
 
 from repro.faults.campaign import CampaignConfig, render_text, run_campaign
-from repro.obs.cli import (COUNT, POSITIVE, add_jobs, add_seed, add_seeds,
-                           emit)
+from repro.obs.cli import (COUNT, OUTPUT, POSITIVE, add_jobs, add_seed,
+                           add_seeds, emit)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--cards", type=COUNT, default=4,
                         help="cards behind the serving queue (default 4)")
     add_jobs(parser)
-    parser.add_argument("--json", metavar="PATH", default=None,
+    parser.add_argument("--json", metavar="PATH", type=OUTPUT, default=None,
                         help="write the JSON report to PATH ('-' for "
                         "stdout)")
     parser.add_argument("--no-hardware", action="store_true",

@@ -41,6 +41,29 @@ SEED = bounded(int, 0)
 POSITIVE = bounded(float, 0, strict=True)
 
 
+def writable(directory: bool = False):
+    """An argparse ``type`` for where output goes: a file (``-`` is
+    stdout) in an existing directory, or with ``directory`` an existing
+    directory.  A bad path then fails before the run, not after it."""
+    def parse(text: str):
+        if directory:
+            if not os.path.isdir(text):
+                raise argparse.ArgumentTypeError(
+                    f"must be an existing directory, got {text!r}")
+        elif text != "-" and (os.path.isdir(text) or not os.path.isdir(
+                os.path.dirname(text) or ".")):
+            raise argparse.ArgumentTypeError(
+                f"must be a file in an existing directory, got {text!r}")
+        return text
+    return parse
+
+
+#: a report or trace file, or ``-`` for stdout
+OUTPUT = writable()
+#: a directory reports are written into
+OUTPUT_DIR = writable(directory=True)
+
+
 def comma_list(item: Callable = str,
                choices: Optional[Sequence[str]] = None):
     """An argparse ``type`` for ``a,b,c``: a non-empty tuple of

@@ -26,7 +26,7 @@ import sys
 from typing import Dict, Optional, Tuple
 
 from repro.core.accelerator import Accelerator
-from repro.obs.cli import bounded, emit
+from repro.obs.cli import OUTPUT, bounded, emit
 from repro.obs.profiler import BottleneckReport, Profiler
 
 
@@ -128,7 +128,7 @@ def main(argv: Optional[list] = None) -> int:
                         % "/".join(sorted(WORKLOADS)))
     parser.add_argument("--format", choices=("text", "json", "chrome"),
                         default="text", help="report format")
-    parser.add_argument("--output", "-o", default=None,
+    parser.add_argument("--output", "-o", type=OUTPUT, default=None,
                         help="write to this file instead of stdout")
     parser.add_argument("--top", type=bounded(int, 0), default=10,
                         help="tracks/operations shown in the text report")

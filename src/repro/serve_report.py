@@ -35,8 +35,8 @@ import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.cli import (COUNT, POSITIVE, add_jobs, add_seed, bounded,
-                           emit)
+from repro.obs.cli import (COUNT, OUTPUT, POSITIVE, add_jobs, add_seed,
+                           bounded, emit)
 from repro.serving import ROUTING_POLICIES, TRACES
 from repro.serving.simulator import (CANDIDATE_BATCHES, BatchingConfig,
                                      BatchLatencyModel, ServingReport,
@@ -647,7 +647,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="emit the JSON report")
     parser.add_argument("--chrome", action="store_true",
                         help="emit the merged Chrome/Perfetto trace")
-    parser.add_argument("--output", "-o", default=None,
+    parser.add_argument("--output", "-o", type=OUTPUT, default=None,
                         help="write to this file instead of stdout")
     parser.add_argument("--fleet", action="store_true",
                         help="fleet mode: router + N replicas over a "

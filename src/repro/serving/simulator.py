@@ -42,6 +42,7 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+import numbers
 from array import array
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
@@ -97,9 +98,11 @@ class BatchingConfig:
     max_wait_us: float = 200.0
 
     def __post_init__(self) -> None:
-        if not self.max_batch >= 1:
+        if not (isinstance(self.max_batch, numbers.Integral)
+                and not isinstance(self.max_batch, bool)
+                and self.max_batch >= 1):
             raise ValueError(
-                f"max_batch must be >= 1, got {self.max_batch!r}")
+                f"max_batch must be an integer >= 1, got {self.max_batch!r}")
         if not (math.isfinite(self.max_wait_us) and self.max_wait_us >= 0):
             raise ValueError("max_wait_us must be finite and >= 0, got "
                              f"{self.max_wait_us!r}")
@@ -364,7 +367,10 @@ def simulate_serving(latency_model: Callable[[int], float],
     attempts queue FIFO in (enqueue time, arrival order).
     ``resilience`` sets the failure handling (the default turns all of
     it off: one card, no deadlines, no retries, no hedging, no
-    shedding).
+    shedding).  Without ``faults``, deadlines or shedding on one card,
+    nothing can abort, so the run takes a straight-line batching pass
+    (:func:`_batching_window`); everything else takes the general loop,
+    which gives the same report for that configuration.
 
     ``faults`` is an optional :class:`~repro.faults.FaultInjector`
     whose ``card.failure`` / ``card.slowdown`` events (microsecond
@@ -427,6 +433,15 @@ def simulate_serving(latency_model: Callable[[int], float],
     # wins a same-instant tie) and originals a shed pass left waiting.
     i = 0
     pending: List[_Attempt] = []
+    if (faults is None and cfg.num_cards == 1 and not deadline
+            and not cfg.shed_queue_depth):
+        # nothing can time out, fail, be shed or be hedged: every
+        # request is served on its first attempt by the plain window,
+        # and the general loop below has nothing left to do
+        busy_us, finish = _batching_window(times, batching, latency_model,
+                                           runs, batch_sizes, batches)
+        span_end = max(span_end, finish)
+        served = i = n
 
     def originals(lo: int, hi: int) -> List[_Attempt]:
         return [(t, r, r, 0) for r, t in enumerate(times[lo:hi], lo)]
@@ -448,12 +463,7 @@ def simulate_serving(latency_model: Callable[[int], float],
         """``latency_model(size)``, looked up and checked once per size."""
         value = latency_of.get(size)
         if value is None:
-            value = latency_model(size)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(
-                    f"latency_model({size}) returned {value!r}; a batch "
-                    "latency must be finite and >= 0 microseconds")
-            latency_of[size] = value
+            value = latency_of[size] = _priced(latency_model, size)
         return value
 
     def finish_attempt(r: int, attempt: int, attempt_t: float,
@@ -701,6 +711,69 @@ def simulate_serving(latency_model: Callable[[int], float],
     if registry is not None:
         _record_metrics(registry, report, batching)
     return report
+
+
+def _priced(latency_model: Callable[[int], float], size: int) -> float:
+    """``latency_model(size)``, refused unless finite and >= 0."""
+    value = latency_model(size)
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(
+            f"latency_model({size}) returned {value!r}; a batch "
+            "latency must be finite and >= 0 microseconds")
+    return value
+
+
+def _batching_window(times: List[float], batching: BatchingConfig,
+                     latency_model: Callable[[int], float],
+                     runs: "_ServedRuns", batch_sizes: List[int],
+                     batches: List[BatchRecord]) -> Tuple[float, float]:
+    """The default configuration's batching loop, straight-line.
+
+    One card, no faults, deadlines or shedding: every request is served
+    on its first attempt, so a batch is just the arrivals ``i:hi`` under
+    the cursor.  It takes what arrived by the time the card is free and
+    the oldest's window has closed, at most ``max_batch``; a full batch
+    is ready at its last arrival and starts once the card is free, any
+    other is ready when the window closes.  Runs, sizes and records land
+    where :func:`simulate_serving`'s general loop puts them, value for
+    value (``tests/serving/test_resilience.py`` compares the two).
+    Returns ``(busy_us, finish_us)``: the card's busy time and the last
+    batch's finish (0.0 without requests).
+    """
+    n = len(times)
+    max_batch = batching.max_batch
+    max_wait = batching.max_wait_us
+    bisect_right = bisect.bisect_right
+    add_run, add_span = runs.bounds.extend, runs.times.extend
+    add_size = batch_sizes.append
+    add_batch = batches.append
+    latency_of: Dict[int, float] = {}
+    free = busy = 0.0
+    i = k = 0
+    while i < n:
+        window_end = times[i] + max_wait
+        at = free if free > window_end else window_end
+        cap = i + max_batch
+        hi = bisect_right(times, at, i, cap if cap < n else n)
+        size = hi - i
+        if size == max_batch:
+            ready = times[hi - 1]
+            at = free if free > ready else ready
+        else:
+            ready = window_end
+        exec_us = latency_of.get(size)
+        if exec_us is None:
+            exec_us = latency_of[size] = _priced(latency_model, size)
+        free = at + exec_us
+        busy += exec_us
+        add_run((i, hi, k))
+        add_span((ready, at, free, exec_us))
+        add_batch(BatchRecord(k, size, times[i], ready, float(at),
+                              float(free), bisect_right(times, at, hi) - hi))
+        add_size(size)
+        i = hi
+        k += 1
+    return busy, free
 
 
 class _ServedRuns:

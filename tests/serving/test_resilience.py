@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
+from repro.eval.machines import MACHINES
 from repro.faults import PERMANENT, FaultEvent, FaultPlan, FaultInjector
+from repro.models.configs import MODEL_ZOO
 from repro.obs import MetricRegistry
 from repro.serving import (BatchingConfig, BatchRecord, ResilienceConfig,
                            STATUS_FAILED, STATUS_SERVED, STATUS_SHED,
-                           STATUS_TIMEOUT, simulate_serving)
-from repro.serving.simulator import resolve_arrivals
+                           STATUS_TIMEOUT, simulate_serving, simulator)
+from repro.serving.fleet import TabularLatencyModel
+from repro.serving.simulator import BatchLatencyModel, resolve_arrivals
 from repro.serving.slo import slo_from_report
 
 
@@ -77,6 +80,39 @@ def plain_batching(latency_model, qps, batching=BatchingConfig(),
     return out, records
 
 
+#: every per-request array of a :class:`ServingReport`
+REPORT_ARRAYS = ("arrivals_us", "latencies_us", "queue_wait_us",
+                 "batch_wait_us", "execute_us", "retry_overhead_us",
+                 "batch_index", "status", "attempts", "abort_us")
+
+
+def both_passes(latency_model, qps, batching, **kwargs):
+    """The same run twice: ``faults=None`` takes the straight-line
+    batching pass, an armed but empty injector the general loop.
+    Returns ``[(report, registry)]`` in that order."""
+    runs = []
+    for faults in (None, FaultInjector(FaultPlan(events=()))):
+        registry = MetricRegistry()
+        report = simulate_serving(latency_model, qps, batching,
+                                  faults=faults, registry=registry, **kwargs)
+        runs.append((report, registry))
+    return runs
+
+
+def assert_same_report(a, b, a_metrics, b_metrics):
+    """Every array, batch record, scalar and recorded metric agrees."""
+    for name in REPORT_ARRAYS:
+        left, right = getattr(a, name), getattr(b, name)
+        assert left.dtype == right.dtype, name
+        np.testing.assert_array_equal(left, right, err_msg=name)
+    assert a.batch_sizes == b.batch_sizes
+    assert [r.to_dict() for r in a.batches] == \
+        [r.to_dict() for r in b.batches]
+    assert (a.busy_fraction, a.qps_served, a.qps_offered) == \
+        (b.busy_fraction, b.qps_served, b.qps_offered)
+    assert a_metrics.to_dict() == b_metrics.to_dict()
+
+
 def assert_attribution_invariant(report):
     """queue_wait + batch_wait + retry_overhead + execute == latency."""
     total = (report.queue_wait_us + report.batch_wait_us
@@ -115,11 +151,9 @@ class TestBitIdentityWithPlainSimulator:
             [b.to_dict() for b in records]
 
     def test_empty_injector_is_bit_identical(self):
-        bare = resilient(qps=40_000, n=600)
-        armed = resilient(qps=40_000, n=600,
-                          plan=FaultPlan(events=()))
-        np.testing.assert_array_equal(bare.latencies_us, armed.latencies_us)
-        np.testing.assert_array_equal(bare.execute_us, armed.execute_us)
+        (bare, bare_metrics), (armed, armed_metrics) = both_passes(
+            linear_latency, 40_000, BatchingConfig(), num_requests=600)
+        assert_same_report(bare, armed, bare_metrics, armed_metrics)
         assert armed.availability == 1.0
 
     def test_all_served_when_no_failure_features(self):
@@ -129,6 +163,93 @@ class TestBitIdentityWithPlainSimulator:
         assert (report.attempts == 1).all()
         assert (report.retry_overhead_us == 0.0).all()
         assert np.isnan(report.abort_us).all()
+
+
+@pytest.fixture(scope="module")
+def lc2_latency():
+    return BatchLatencyModel(MODEL_ZOO["LC2"], MACHINES["mtia"])
+
+
+#: injected arrivals with same-instant ties, some landing on a window
+#: edge: 1 to 5 requests at each of 300 instants 40us apart
+TIED_ARRIVALS = np.repeat(np.arange(300) * 40.0,
+                          np.arange(300) % 5 + 1)
+
+#: (name, batching, qps, simulate_serving keywords) run by both passes
+SCENARIOS = [
+    ("window-zero", BatchingConfig(16, 0.0), 50_000, {"num_requests": 3000}),
+    ("batch-one", BatchingConfig(1, 100.0), 20_000, {"num_requests": 3000}),
+    ("batch-one-window-zero", BatchingConfig(1, 0.0), 20_000,
+     {"num_requests": 3000}),
+    ("ties", BatchingConfig(4, 40.0), 0.0, {"arrivals": TIED_ARRIVALS}),
+    ("ties-window-zero", BatchingConfig(3, 0.0), 0.0,
+     {"arrivals": TIED_ARRIVALS}),
+    ("no-requests", BatchingConfig(), 0.0, {"arrivals": []}),
+    ("drawn-no-requests", BatchingConfig(), 1_000, {"num_requests": 0}),
+    ("one-request", BatchingConfig(), 0.0, {"arrivals": [7.5]}),
+    # with one card and no deadline, retries and hedging cannot act
+    ("inert-retries-and-hedging", BatchingConfig(8, 100.0), 40_000,
+     {"num_requests": 3000,
+      "resilience": ResilienceConfig(max_retries=3, hedge_after_us=50.0)}),
+]
+
+
+class TestStraightLinePassMatchesGeneralLoop:
+    """The default configuration's straight-line pass against the
+    general loop, which an armed but empty injector selects: the same
+    report, field for field, and the same errors."""
+
+    @pytest.mark.parametrize("qps", [2_000, 10_000, 30_000, 60_000,
+                                     400_000])
+    def test_serving_ladder(self, lc2_latency, qps):
+        (fast, fast_metrics), (general, general_metrics) = both_passes(
+            lc2_latency, qps, BatchingConfig(128, 300),
+            num_requests=50_000, seed=qps)
+        assert_same_report(fast, general, fast_metrics, general_metrics)
+
+    @pytest.mark.parametrize("batching, qps, kwargs",
+                             [case[1:] for case in SCENARIOS],
+                             ids=[case[0] for case in SCENARIOS])
+    def test_edge_cases(self, batching, qps, kwargs):
+        (fast, fast_metrics), (general, general_metrics) = both_passes(
+            linear_latency, qps, batching, **kwargs)
+        assert_same_report(fast, general, fast_metrics, general_metrics)
+
+    @pytest.mark.parametrize("latency_model, match", [
+        (lambda b: float("nan") if b > 2 else 10.0,
+         r"latency_model\(\d+\) returned nan"),
+        (TabularLatencyModel(batches=(1, 4, 16), latency_us=(50, 60, 90)),
+         r"batch \d+ exceeds the largest modelled batch 16"),
+    ], ids=["nan-latency", "above-table"])
+    def test_same_error(self, latency_model, match):
+        messages = []
+        for faults in (None, FaultInjector(FaultPlan(events=()))):
+            with pytest.raises(ValueError, match=match) as exc:
+                simulate_serving(latency_model, 200_000,
+                                 BatchingConfig(32, 200.0),
+                                 num_requests=2000, faults=faults,
+                                 registry=MetricRegistry())
+            messages.append(str(exc.value))
+        assert messages[0] == messages[1]
+
+    @pytest.mark.parametrize("case, straight_line", [
+        ({}, True),
+        ({"faults": FaultInjector(FaultPlan(events=()))}, False),
+        ({"resilience": ResilienceConfig(deadline_us=5_000.0)}, False),
+        ({"resilience": ResilienceConfig(shed_queue_depth=64)}, False),
+        ({"resilience": ResilienceConfig(num_cards=2)}, False),
+        ({"resilience": ResilienceConfig(max_retries=3,
+                                         hedge_after_us=50.0)}, True),
+    ], ids=["default", "empty-injector", "deadline", "shedding",
+            "two-cards", "inert-retries-and-hedging"])
+    def test_selection_rule(self, monkeypatch, case, straight_line):
+        calls = []
+        real = simulator._batching_window
+        monkeypatch.setattr(simulator, "_batching_window",
+                            lambda *args: calls.append(1) or real(*args))
+        simulate_serving(linear_latency, 10_000, num_requests=200,
+                         registry=MetricRegistry(), **case)
+        assert bool(calls) is straight_line
 
 
 class TestDeadlines:

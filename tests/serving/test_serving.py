@@ -82,6 +82,18 @@ class TestBatchingConfigValidation:
         with pytest.raises(ValueError, match="max_batch"):
             BatchingConfig(max_batch=max_batch)
 
+    @pytest.mark.parametrize("max_batch", [2.5, 4.0, "4", True, None])
+    def test_non_integer_max_batch_rejected(self, max_batch):
+        # these used to pass and then crash inside the batching loop
+        with pytest.raises(ValueError, match="max_batch"):
+            BatchingConfig(max_batch=max_batch)
+
+    def test_numpy_integer_max_batch_accepted(self):
+        report = simulate_serving(
+            linear_latency, qps=10_000, num_requests=50,
+            batching=BatchingConfig(max_batch=np.int64(4)))
+        assert max(report.batch_sizes) <= 4
+
     def test_negative_max_wait_rejected(self):
         with pytest.raises(ValueError, match="max_wait_us"):
             BatchingConfig(max_wait_us=-1.0)

@@ -17,6 +17,9 @@ MAINS = {"serve_report": serve_report.main, "critpath": critpath.main,
          "sweep": sweep.main, "fleet_check": fleet_check.main,
          "bench": bench.main}
 
+#: a directory no test run creates
+MISSING = "/nonexistent-report-dir"
+
 #: (CLI, argv, the flag the error must name)
 CASES = [
     ("serve_report", "quickstart --requests -5", "--requests"),
@@ -83,6 +86,17 @@ CASES = [
     ("fleet_check", "--duration-us 0", "--duration-us"),
     ("fleet_check", "--duration-us 1000 --target-qps -5", "--target-qps"),
     ("bench", "--trajectory --jobs 0", "--jobs"),
+    # an output path in a missing directory fails before the run
+    ("profile", f"quickstart -o {MISSING}/x.json", "--output/-o"),
+    ("critpath", f"quickstart -o {MISSING}/x.json", "--output/-o"),
+    ("serve_report", f"quickstart -o {MISSING}/x.json", "--output/-o"),
+    ("serve_report", "quickstart -o .", "--output/-o"),
+    ("conformance", f"--seeds 1 --pillars golden --json {MISSING}/r.json",
+     "--json"),
+    ("sweep", f"--seeds 1 --json {MISSING}/r.json", "--json"),
+    ("faults", "--seeds 1 --requests 200 --no-hardware --no-failover "
+     f"--json {MISSING}/r.json", "--json"),
+    ("bench", f"-o {MISSING}", "--output-dir/-o"),
 ]
 
 #: (CLI, argv, the flag whose choices the value is not among)
