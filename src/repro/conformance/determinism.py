@@ -57,7 +57,7 @@ from repro.serving.fleet import (ROUTING_POLICIES, FleetConfig, RouterConfig,
                                  uniform_fleet)
 from repro.serving.resilience import ResilienceConfig
 from repro.serving.simulator import (STATUS_SERVED, BatchingConfig,
-                                     simulate_serving)
+                                     BatchTable, simulate_serving)
 from repro.serving.telemetry import ServingTelemetry, emit_exemplar_spans
 from repro.serving.traffic import trace_preset
 from repro.sim.trace import Tracer
@@ -328,8 +328,10 @@ def _serving_fields(report) -> Dict:
     """Every serving array the report carries, plus its telemetry."""
     obs = {"cycles": float(report.latencies_us.sum())}
     obs.update((name, getattr(report, name))
-               for name in _SERVING_ARRAYS + ("batch_sizes",)
-               if hasattr(report, name))
+               for name in _SERVING_ARRAYS if hasattr(report, name))
+    if hasattr(report, "batches"):
+        obs.update((f"batches.{name}", getattr(report.batches, name))
+                   for name in BatchTable.fields)
     if report.telemetry is not None:
         obs["telemetry JSON"] = _canonical(
             report.telemetry.to_dict(include_state=True))

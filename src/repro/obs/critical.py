@@ -425,11 +425,12 @@ def _queue_segments(report, k: int, lo: float, hi: float) -> List[Segment]:
     if hi <= lo:
         return []
     pieces: List[Tuple[float, float, int]] = []
+    dispatches = report.batches.dispatch_us
+    finishes = report.batches.finish_us
     j = k - 1
     while j >= 0:
-        batch = report.batches[j]
-        dispatch = float(batch.dispatch_us)
-        finish = float(batch.finish_us)
+        dispatch = float(dispatches[j])
+        finish = float(finishes[j])
         if finish <= lo:
             break
         piece_lo, piece_hi = max(lo, dispatch), min(hi, finish)
@@ -480,10 +481,10 @@ def serving_critical_path(report, r: int) -> CriticalPath:
         if not 0 <= k < len(report.batches):
             raise CriticalPathError(
                 f"served request {r} has no batch record (index {k})")
-        batch = report.batches[k]
-        dispatch = float(batch.dispatch_us)
-        finish = float(batch.finish_us)
-        ready = float(batch.ready_us)
+        batches = report.batches
+        dispatch = float(batches.dispatch_us[k])
+        finish = float(batches.finish_us[k])
+        ready = float(batches.ready_us[k])
         t1 = min(max(arr + retry, arr), dispatch)
         t2 = min(max(t1, min(ready, dispatch)), dispatch)
         segments.append(Segment(arr, t1, t1 - arr, "retry",

@@ -56,6 +56,7 @@ from repro.serving.simulator import (STATUS_FAILED, STATUS_NAMES,
                                      STATUS_SERVED, STATUS_SHED,
                                      STATUS_TIMEOUT, BatchingConfig,
                                      BatchRecord, BatchLatencyModel,
+                                     BatchTable,
                                      ServingReport, simulate_serving)
 from repro.serving.slo import (SLOMonitor, SLOSummary, SLOWindow,
                                slo_from_report)
@@ -67,6 +68,7 @@ __all__ = [
     "BatchingConfig",
     "BatchLatencyModel",
     "BatchRecord",
+    "BatchTable",
     "Burst",
     "CapacityPlan",
     "FleetCapacityPlan",

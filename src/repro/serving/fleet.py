@@ -663,8 +663,8 @@ class FleetReport(OutcomeQueries):
             indices = report.batch_index[local]
             if indices.size == 0:
                 continue
-            sizes = np.asarray(report.batch_sizes, dtype=float)[indices]
-            per_request = report.execute_us[local] / sizes
+            per_request = (report.execute_us[local]
+                           / report.batches.size[indices])
             service[spec.replica] = float(np.median(per_request))
         return ObservedLatencyFeed(window_us=window_us, sketches=sketches,
                                    series=series, service_us=service)

@@ -43,9 +43,8 @@ import bisect
 import heapq
 import math
 import numbers
-from array import array
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -149,6 +148,47 @@ class BatchRecord:
                 "queue_depth": self.queue_depth}
 
 
+class BatchTable:
+    """The dispatched batches of one run, one numpy column per field.
+
+    Row ``k`` is batch ``k`` in dispatch order.  Readers that walk many
+    batches read the columns; ``table[k]`` (negative ``k`` counts from
+    the end) builds that batch's :class:`BatchRecord` on demand, and
+    iterating yields every record in order.
+    """
+
+    #: the columns, in :meth:`from_records` tuple order
+    fields = ("size", "first_arrival_us", "ready_us", "dispatch_us",
+              "finish_us", "queue_depth")
+
+    def __init__(self, size, first_arrival_us, ready_us, dispatch_us,
+                 finish_us, queue_depth) -> None:
+        self.size = np.asarray(size, dtype=np.int64)
+        self.first_arrival_us = np.asarray(first_arrival_us, dtype=float)
+        self.ready_us = np.asarray(ready_us, dtype=float)
+        self.dispatch_us = np.asarray(dispatch_us, dtype=float)
+        self.finish_us = np.asarray(finish_us, dtype=float)
+        self.queue_depth = np.asarray(queue_depth, dtype=np.int64)
+
+    @classmethod
+    def from_records(cls, records) -> "BatchTable":
+        """The table of ``(size, first_arrival_us, ready_us,
+        dispatch_us, finish_us, queue_depth)`` tuples, one per batch."""
+        columns = list(zip(*records)) or [()] * len(cls.fields)
+        return cls(*columns)
+
+    def __len__(self) -> int:
+        return self.size.size
+
+    def __getitem__(self, k: int) -> BatchRecord:
+        k = range(len(self))[k]     # IndexError past either end
+        return BatchRecord(k, *(getattr(self, name)[k].item()
+                                for name in self.fields))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+
 class OutcomeQueries:
     """Outcome queries of a report that carries per-request ``status``.
 
@@ -222,7 +262,6 @@ class ServingReport(OutcomeQueries):
     qps_offered: float
     qps_served: float
     latencies_us: np.ndarray
-    batch_sizes: List[int]
     busy_fraction: float
     queue_wait_us: np.ndarray
     batch_wait_us: np.ndarray
@@ -231,7 +270,7 @@ class ServingReport(OutcomeQueries):
     #: index into ``batches`` of the batch that served each request
     #: (-1 for aborted requests)
     batch_index: np.ndarray
-    batches: List[BatchRecord]
+    batches: BatchTable
     #: per-request outcome (``STATUS_*``)
     status: np.ndarray
     #: microseconds a request spent on attempts that did *not* serve it
@@ -250,23 +289,25 @@ class ServingReport(OutcomeQueries):
 
     @property
     def mean_batch(self) -> float:
-        return float(np.mean(self.batch_sizes)) if self.batch_sizes else 0.0
+        sizes = self.batches.size
+        return float(sizes.mean()) if sizes.size else 0.0
 
     def queue_depth_series(self) -> Dict[str, List[float]]:
         """Queue depth sampled at each dispatch instant."""
-        return {"time_us": [b.dispatch_us for b in self.batches],
-                "depth": [float(b.queue_depth) for b in self.batches]}
+        return {"time_us": self.batches.dispatch_us.tolist(),
+                "depth": self.batches.queue_depth.astype(float).tolist()}
 
     def batch_occupancy_series(self, max_batch: int) -> Dict[str, List[float]]:
         """Dispatched batch size as a fraction of ``max_batch``."""
-        return {"time_us": [b.dispatch_us for b in self.batches],
-                "occupancy": [b.size / max_batch for b in self.batches]}
+        return {"time_us": self.batches.dispatch_us.tolist(),
+                "occupancy": (self.batches.size / max_batch).tolist()}
 
     def request_rows(self, limit: Optional[int] = None) -> List[Dict]:
         """Per-request breakdown rows (JSON-ready), optionally capped."""
         n = self.latencies_us.size
         if limit is not None:
             n = min(n, limit)
+        sizes = self.batches.size.tolist()
         rows = []
         for r in range(n):
             b = int(self.batch_index[r])
@@ -277,8 +318,7 @@ class ServingReport(OutcomeQueries):
                    for name in PHASES},
                 "latency_us": float(self.latencies_us[r]),
                 "batch": b,
-                "batch_size": self.batches[b].size if 0 <= b < len(
-                    self.batches) else 0,
+                "batch_size": sizes[b] if 0 <= b < len(sizes) else 0,
                 "status": STATUS_NAMES[int(self.status[r])],
                 "attempts": int(self.attempts[r]),
             })
@@ -411,8 +451,8 @@ def simulate_serving(latency_model: Callable[[int], float],
     abort_us = np.full(n, np.nan)
     batch_index = np.full(n, -1, dtype=np.int64)
 
-    batch_sizes: List[int] = []
-    batches: List[BatchRecord] = []
+    # the general loop's batches, one ``BatchTable.from_records`` tuple each
+    records: List[Tuple[int, float, float, float, float, int]] = []
     free = [0.0] * cfg.num_cards
     busy_us = 0.0
     span_end = float(arrivals[0]) if n else 0.0
@@ -425,7 +465,7 @@ def simulate_serving(latency_model: Callable[[int], float],
     # scalar or call per batch) and records each batch's served
     # first-attempt run; one array pass after the loop fills their rows.
     times = arrivals.tolist()
-    runs = _ServedRuns()
+    runs: List[Tuple[int, int, int, float]] = []
 
     # First attempts are consumed in arrival order by the cursor ``i``;
     # their tie-break seq is the request index.  ``pending`` is a heap
@@ -433,13 +473,14 @@ def simulate_serving(latency_model: Callable[[int], float],
     # wins a same-instant tie) and originals a shed pass left waiting.
     i = 0
     pending: List[_Attempt] = []
-    if (faults is None and cfg.num_cards == 1 and not deadline
-            and not cfg.shed_queue_depth):
+    straight_line = (faults is None and cfg.num_cards == 1
+                     and not deadline and not cfg.shed_queue_depth)
+    if straight_line:
         # nothing can time out, fail, be shed or be hedged: every
         # request is served on its first attempt by the plain window,
         # and the general loop below has nothing left to do
-        busy_us, finish = _batching_window(times, batching, latency_model,
-                                           runs, batch_sizes, batches)
+        busy_us, finish, batches, served_runs = _batching_window(
+            arrivals, times, batching, latency_model)
         span_end = max(span_end, finish)
         served = i = n
 
@@ -654,7 +695,7 @@ def simulate_serving(latency_model: Callable[[int], float],
 
         # -- served members: queued attempts one by one here, the first
         #    attempts ``lo:hi`` by the fill pass after the loop
-        k = len(batches)
+        k = len(records)
         for t, _seq, r, attempt in held:
             attempts_out[r] = attempt + 1
             retry_overhead[r] = t - times[r]
@@ -664,28 +705,26 @@ def simulate_serving(latency_model: Callable[[int], float],
             execute[r] = exec_us
             batch_index[r] = k
         if lo < hi:
-            runs.add(lo, hi, k, ready, start, finish, exec_us)
+            runs.append((lo, hi, k, exec_us))
         served += len(held) + hi - lo
 
         depth = cursor_waiting(dispatch_at) - i
         if pending:
             depth += sum(1 for e in pending if e[0] <= dispatch_at)
-        batch_sizes.append(size)
-        batches.append(BatchRecord(
-            index=k, size=size, first_arrival_us=first_t,
-            ready_us=float(ready), dispatch_us=float(start),
-            finish_us=float(finish), queue_depth=depth))
+        records.append((size, first_t, ready, start, finish, depth))
 
     del times
-    runs.fill(arrivals, latencies, batch_wait, queue_wait, execute,
-              batch_index)
+    if not straight_line:
+        batches = BatchTable.from_records(records)
+        served_runs = _ServedRuns.from_rows(runs)
+    served_runs.fill(batches, arrivals, latencies, batch_wait, queue_wait,
+                     execute, batch_index)
 
     span_us = span_end - arrivals[0] if n else 0.0
     report = ServingReport(
         qps_offered=qps,
         qps_served=served / (span_us / 1e6) if span_us > 0 else 0.0,
         latencies_us=latencies,
-        batch_sizes=batch_sizes,
         busy_fraction=(min(1.0, busy_us / (span_us * cfg.num_cards))
                        if span_us > 0 else 0.0),
         queue_wait_us=queue_wait,
@@ -723,33 +762,37 @@ def _priced(latency_model: Callable[[int], float], size: int) -> float:
     return value
 
 
-def _batching_window(times: List[float], batching: BatchingConfig,
-                     latency_model: Callable[[int], float],
-                     runs: "_ServedRuns", batch_sizes: List[int],
-                     batches: List[BatchRecord]) -> Tuple[float, float]:
+def _batching_window(arrivals: np.ndarray, times: List[float],
+                     batching: BatchingConfig,
+                     latency_model: Callable[[int], float]
+                     ) -> Tuple[float, float, BatchTable, "_ServedRuns"]:
     """The default configuration's batching loop, straight-line.
 
     One card, no faults, deadlines or shedding: every request is served
-    on its first attempt, so a batch is just the arrivals ``i:hi`` under
-    the cursor.  It takes what arrived by the time the card is free and
-    the oldest's window has closed, at most ``max_batch``; a full batch
-    is ready at its last arrival and starts once the card is free, any
-    other is ready when the window closes.  Runs, sizes and records land
-    where :func:`simulate_serving`'s general loop puts them, value for
-    value (``tests/serving/test_resilience.py`` compares the two).
-    Returns ``(busy_us, finish_us)``: the card's busy time and the last
-    batch's finish (0.0 without requests).
+    on its first attempt, so a batch is just the arrivals ``lo:hi``
+    under the cursor.  It takes what arrived by the time the card is
+    free and the oldest's window has closed, at most ``max_batch``; a
+    full batch is ready at its last arrival and starts once the card is
+    free, any other is ready when the window closes.  The loop keeps
+    only each batch's ``lo`` and start (pricing a size the first time it
+    occurs, and summing busy time in batch order); every other column
+    is derived from those afterwards, value for value what
+    :func:`simulate_serving`'s general loop records
+    (``tests/serving/test_resilience.py`` compares the two).  Returns
+    ``(busy_us, finish_us, batches, runs)``: the card's busy time, the
+    last batch's finish (0.0 without requests), the batch table and
+    its served runs.
     """
     n = len(times)
     max_batch = batching.max_batch
     max_wait = batching.max_wait_us
     bisect_right = bisect.bisect_right
-    add_run, add_span = runs.bounds.extend, runs.times.extend
-    add_size = batch_sizes.append
-    add_batch = batches.append
+    los: List[int] = []
+    starts: List[float] = []
+    add_lo, add_start = los.append, starts.append
     latency_of: Dict[int, float] = {}
     free = busy = 0.0
-    i = k = 0
+    i = 0
     while i < n:
         window_end = times[i] + max_wait
         at = free if free > window_end else window_end
@@ -759,61 +802,69 @@ def _batching_window(times: List[float], batching: BatchingConfig,
         if size == max_batch:
             ready = times[hi - 1]
             at = free if free > ready else ready
-        else:
-            ready = window_end
         exec_us = latency_of.get(size)
         if exec_us is None:
             exec_us = latency_of[size] = _priced(latency_model, size)
         free = at + exec_us
         busy += exec_us
-        add_run((i, hi, k))
-        add_span((ready, at, free, exec_us))
-        add_batch(BatchRecord(k, size, times[i], ready, float(at),
-                              float(free), bisect_right(times, at, hi) - hi))
-        add_size(size)
+        add_lo(i)
+        add_start(at)
         i = hi
-        k += 1
-    return busy, free
+
+    lo = np.array(los, dtype=np.int64)
+    hi = np.append(lo[1:], n)[:lo.size]     # the next batch's lo
+    size = hi - lo
+    priced = np.zeros(max(latency_of, default=0) + 1)
+    priced[list(latency_of)] = list(latency_of.values())
+    exec_us = priced[size]
+    start = np.array(starts, dtype=float)
+    ready = np.where(size == max_batch, arrivals[hi - 1],
+                     arrivals[lo] + max_wait)
+    batches = BatchTable(size, arrivals[lo], ready, start, start + exec_us,
+                         np.searchsorted(arrivals, start, "right") - hi)
+    return busy, free, batches, _ServedRuns(lo, hi, np.arange(lo.size),
+                                            exec_us)
 
 
-class _ServedRuns:
+class _ServedRuns(NamedTuple):
     """The served first-attempt runs of one simulation, filled at once.
 
-    Run ``j`` is the requests ``lo:hi`` that batch ``k`` served, with
-    that batch's ready, start, finish and execute times.  :meth:`fill`
-    writes the phases of every member of every run in one elementwise
-    pass after the batching loop.
+    Run ``j`` is the requests ``lo[j]:hi[j]`` that batch ``k[j]``
+    served in ``exec_us[j]``.  :meth:`fill` writes the phases of every
+    member of every run in one elementwise pass after the batching loop.
     """
 
-    def __init__(self) -> None:
-        self.bounds = array("q")   #: (lo, hi, k) per run
-        self.times = array("d")    #: (ready, start, finish, exec_us) per run
+    lo: np.ndarray
+    hi: np.ndarray
+    k: np.ndarray
+    exec_us: np.ndarray
 
-    def add(self, lo: int, hi: int, k: int, ready: float, start: float,
-            finish: float, exec_us: float) -> None:
-        self.bounds.extend((lo, hi, k))
-        self.times.extend((ready, start, finish, exec_us))
+    @classmethod
+    def from_rows(cls, rows: List[Tuple[int, int, int, float]]
+                  ) -> "_ServedRuns":
+        """From the general loop's ``(lo, hi, k, exec_us)`` per run."""
+        lo, hi, k, exec_us = list(zip(*rows)) or [()] * 4
+        return cls(np.array(lo, dtype=np.int64),
+                   np.array(hi, dtype=np.int64),
+                   np.array(k, dtype=np.int64),
+                   np.array(exec_us, dtype=float))
 
-    def fill(self, arrivals: np.ndarray, latencies: np.ndarray,
-             batch_wait: np.ndarray, queue_wait: np.ndarray,
-             execute: np.ndarray, batch_index: np.ndarray) -> None:
-        if not self.bounds:
-            return
-        lo, hi, k = np.frombuffer(self.bounds, dtype=np.int64
-                                  ).reshape(-1, 3).T
-        counts = hi - lo
+    def fill(self, batches: BatchTable, arrivals: np.ndarray,
+             latencies: np.ndarray, batch_wait: np.ndarray,
+             queue_wait: np.ndarray, execute: np.ndarray,
+             batch_index: np.ndarray) -> None:
+        counts = self.hi - self.lo
         total = int(counts.sum())
         rows = (np.arange(total)
-                + np.repeat(lo - (np.cumsum(counts) - counts), counts))
-        ready, start, finish, exec_us = np.repeat(
-            np.frombuffer(self.times, dtype=np.float64).reshape(-1, 4),
-            counts, axis=0).T
+                + np.repeat(self.lo - (np.cumsum(counts) - counts), counts))
+        ready = np.repeat(batches.ready_us[self.k], counts)
+        start = np.repeat(batches.dispatch_us[self.k], counts)
         arr = arrivals[rows]
-        latencies[rows] = finish - arr
+        latencies[rows] = np.repeat(batches.finish_us[self.k], counts) - arr
         batch_wait[rows] = np.maximum(ready - arr, 0.0)
         queue_wait[rows] = start - np.maximum(arr, ready)
-        execute[rows] = exec_us
-        batch_index[rows] = np.repeat(k, counts)
+        execute[rows] = np.repeat(self.exec_us, counts)
+        batch_index[rows] = np.repeat(self.k, counts)
 
 
 def _record_metrics(registry, report: ServingReport,
@@ -836,10 +887,10 @@ def _record_metrics(registry, report: ServingReport,
             getattr(report, f"{phase}_us")[served])
     registry.histogram(
         "serving_batch_size", "dispatched batch sizes"
-    ).labels().observe_many(report.batch_sizes)
+    ).labels().observe_many(report.batches.size)
     registry.histogram(
         "serving_queue_depth", "queue depth sampled at dispatch"
-    ).labels().observe_many([b.queue_depth for b in report.batches])
+    ).labels().observe_many(report.batches.queue_depth)
     registry.counter("serving_requests", "requests served").labels().inc(
         int(np.count_nonzero(served)))
     registry.gauge("serving_availability",

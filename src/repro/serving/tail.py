@@ -115,8 +115,7 @@ def _cohort_category_mix(report, idx: np.ndarray,
                          latency_model) -> Dict[str, float]:
     """Request-weighted operator-category mix for one cohort."""
     mix: Dict[str, float] = {}
-    for r in idx:
-        batch = report.batches[int(report.batch_index[r])].size
+    for batch in report.batches.size[report.batch_index[idx]].tolist():
         for cat, frac in latency_model.category_fractions(batch).items():
             mix[cat] = mix.get(cat, 0.0) + frac
     total = sum(mix.values())
@@ -157,9 +156,7 @@ def attribute_tail(report, latency_model=None, tail_q: float = 99.0,
     def mean_batch(idx: np.ndarray) -> float:
         if idx.size == 0:
             return 0.0
-        sizes = [report.batches[int(report.batch_index[r])].size
-                 for r in idx]
-        return float(np.mean(sizes))
+        return float(report.batches.size[report.batch_index[idx]].mean())
 
     tail_phases = report.breakdown_means(tail_idx)
     median_phases = report.breakdown_means(median_idx)

@@ -106,7 +106,8 @@ class ServingTelemetry:
         out.latency.add_many(lat)
         for name in PHASES:
             out.phases[name].add_many(getattr(report, f"{name}_us")[mask])
-        out.batch_size.add_many(np.asarray(report.batch_sizes, dtype=float))
+        batches = report.batches
+        out.batch_size.add_many(batches.size)
 
         for name, count in report.counts_by_status().items():
             out.status_counts[name] += count
@@ -116,10 +117,8 @@ class ServingTelemetry:
             out.series["requests"].record_many(arrivals)
             finish = arrivals[mask] + lat
             out.series["latency_us"].record_many(finish, lat)
-        if report.batches:
-            out.series["queue_depth"].record_many(
-                [b.dispatch_us for b in report.batches],
-                [float(b.queue_depth) for b in report.batches])
+        out.series["queue_depth"].record_many(batches.dispatch_us,
+                                              batches.queue_depth)
 
         def record_for(r: int) -> ExemplarRecord:
             b = int(report.batch_index[r])
@@ -131,7 +130,7 @@ class ServingTelemetry:
                 batch_wait_us=float(report.batch_wait_us[r]),
                 execute_us=float(report.execute_us[r]),
                 batch_index=b,
-                batch_size=report.batches[b].size,
+                batch_size=int(batches.size[b]),
                 status=STATUS_NAMES[int(report.status[r])],
                 retry_overhead_us=float(report.retry_overhead_us[r]))
 

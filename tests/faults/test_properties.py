@@ -5,7 +5,7 @@ from hypothesis import given, settings
 
 from repro.faults import FaultInjector, FaultPlan
 from repro.obs import MetricRegistry
-from repro.serving import (BatchingConfig, ResilienceConfig,
+from repro.serving import (BatchingConfig, BatchTable, ResilienceConfig,
                            simulate_serving)
 from tests import strategies as shared
 
@@ -38,7 +38,10 @@ class TestServingChaosProperties:
                      "attempts", "abort_us", "batch_index"):
             np.testing.assert_array_equal(getattr(a, name),
                                           getattr(b, name), err_msg=name)
-        assert a.batch_sizes == b.batch_sizes
+        for name in BatchTable.fields:
+            np.testing.assert_array_equal(getattr(a.batches, name),
+                                          getattr(b.batches, name),
+                                          err_msg=name)
         assert (a.hedged_batches, a.hedge_wins) == (b.hedged_batches,
                                                     b.hedge_wins)
 

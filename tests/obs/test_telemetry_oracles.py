@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from repro.obs.exemplars import (ExemplarRecord, ExemplarStore,
                                  priority_hash, priority_hash_many)
 from repro.obs.timeseries import WindowedSeries
-from repro.serving.simulator import (STATUS_NAMES, BatchRecord,
+from repro.serving.simulator import (STATUS_NAMES, BatchTable,
                                      ServingReport)
 from repro.serving.telemetry import (PHASES, SERIES_NAMES,
                                      ServingTelemetry)
@@ -80,7 +80,7 @@ def from_report_oracle(report: ServingReport, replica: int = 0,
     out.latency.add_many(lat)
     for name in PHASES:
         out.phases[name].add_many(getattr(report, f"{name}_us")[mask])
-    out.batch_size.add_many(np.asarray(report.batch_sizes, dtype=float))
+    out.batch_size.add_many([float(b.size) for b in report.batches])
     for name, count in report.counts_by_status().items():
         out.status_counts[name] += count
     arrivals = report.arrivals_us
@@ -126,13 +126,11 @@ def serving_reports(draw) -> ServingReport:
     phase = st.sampled_from([0.0, 1.5, 20.0, 333.25])
     num_batches = draw(st.integers(1, max(1, n)))
     batches = []
-    for i in range(num_batches):
+    for _ in range(num_batches):
         dispatch = draw(st.floats(0.0, 3e5, allow_nan=False))
-        batches.append(BatchRecord(
-            index=i, size=draw(st.integers(1, 8)),
-            first_arrival_us=dispatch, ready_us=dispatch,
-            dispatch_us=dispatch, finish_us=dispatch + 50.0,
-            queue_depth=draw(st.integers(0, 30))))
+        batches.append((draw(st.integers(1, 8)), dispatch, dispatch,
+                        dispatch, dispatch + 50.0,
+                        draw(st.integers(0, 30))))
     batch_index = np.array(
         [draw(st.integers(0, num_batches - 1)) if s == 0 else -1
          for s in status], dtype=np.int64)
@@ -142,10 +140,11 @@ def serving_reports(draw) -> ServingReport:
 
     return ServingReport(
         qps_offered=0.0, qps_served=0.0, latencies_us=lat,
-        batch_sizes=[b.size for b in batches], busy_fraction=0.0,
+        busy_fraction=0.0,
         queue_wait_us=phase_array(), batch_wait_us=phase_array(),
         execute_us=phase_array(), arrivals_us=arrivals,
-        batch_index=batch_index, batches=batches, status=status,
+        batch_index=batch_index, batches=BatchTable.from_records(batches),
+        status=status,
         retry_overhead_us=phase_array(),
         attempts=np.ones(n, dtype=np.int64),
         abort_us=np.where(status == 0, np.nan, arrivals + lat))

@@ -107,7 +107,7 @@ def _digest(report, arrays, spans=None) -> str:
         h.update(f"{name}:{values.dtype.str}:{values.shape}".encode())
         h.update(values.tobytes())
     h.update(json.dumps({
-        "batch_sizes": [int(b) for b in report.batch_sizes],
+        "batch_sizes": [int(b) for b in report.batches.size],
         "batches": [b.to_dict() for b in report.batches],
         "scalars": [report.qps_offered, report.qps_served,
                     report.busy_fraction, report.hedged_batches,

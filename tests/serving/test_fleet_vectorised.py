@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -152,6 +153,30 @@ class TestFleetByteIdentity:
                                  "--replicas", "3",
                                  "--policies", "round_robin"]) == 1
         assert "FAIL round_robin report differs" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("jobs_list", [[4, 2], [2, 1]])
+    def test_fleet_check_times_the_vectorised_router_at_one_job(
+            self, monkeypatch, jobs_list):
+        """The speed-up compares both routers at ``jobs=1``: a larger
+        job count would add pool start-up to the vectorised side."""
+        from repro.serving import fleet_check
+
+        clock = [0.0]
+        real = fleet_check.simulate_fleet
+
+        def one_second_per_job(model, trace, config, jobs=1):
+            clock[0] += jobs
+            return real(model, trace, config, jobs=1)
+
+        monkeypatch.setattr(fleet_check, "simulate_fleet",
+                            one_second_per_job)
+        monkeypatch.setattr(fleet_check, "time",
+                            SimpleNamespace(perf_counter=lambda: clock[0]))
+        trace = replace(trace_preset("diurnal", target_qps=150_000.0),
+                        duration_us=4_000.0)
+        row = fleet_check.check_policy("round_robin", trace, jobs_list,
+                                       replicas=3)
+        assert (row["ref_wall_s"], row["fast_wall_s"]) == (1.0, 1.0)
 
     def test_fleet_json_identical_across_jobs(self):
         trace = replace(trace_preset("spike", target_qps=120_000.0),

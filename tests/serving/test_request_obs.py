@@ -63,10 +63,11 @@ class TestPhaseAttribution:
 class TestBatchRecords:
     def test_records_consistent(self):
         report = run()
-        assert len(report.batches) == len(report.batch_sizes)
+        sizes = report.batches.size
+        assert len(report.batches) == sizes.size
         for k, b in enumerate(report.batches):
             assert b.index == k
-            assert b.size == report.batch_sizes[k]
+            assert b.size == sizes[k]
             assert b.first_arrival_us <= b.ready_us <= b.dispatch_us
             assert b.finish_us == pytest.approx(
                 b.dispatch_us + linear_latency(b.size))
@@ -76,7 +77,7 @@ class TestBatchRecords:
         report = run(n=1234)
         sizes = np.bincount(report.batch_index.astype(int),
                             minlength=len(report.batches))
-        np.testing.assert_array_equal(sizes, report.batch_sizes)
+        np.testing.assert_array_equal(sizes, report.batches.size)
 
     def test_queue_depth_series_aligned(self):
         report = run()

@@ -1,5 +1,7 @@
 """Resilient serving: deadlines, retries, hedging, shedding, failover."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from repro.eval.machines import MACHINES
 from repro.faults import PERMANENT, FaultEvent, FaultPlan, FaultInjector
 from repro.models.configs import MODEL_ZOO
 from repro.obs import MetricRegistry
-from repro.serving import (BatchingConfig, BatchRecord, ResilienceConfig,
+from repro.serving import (BatchingConfig, BatchTable, ResilienceConfig,
                            STATUS_FAILED, STATUS_SERVED, STATUS_SHED,
                            STATUS_TIMEOUT, simulate_serving, simulator)
 from repro.serving.fleet import TabularLatencyModel
@@ -41,7 +43,7 @@ def plain_batching(latency_model, qps, batching=BatchingConfig(),
     The textbook loop the engine's default configuration must reproduce
     bit for bit: a batch closes when ``max_batch`` arrivals are in or
     the oldest has waited ``max_wait_us``, and dispatches when the card
-    is free.  Returns the per-request arrays and the batch records.
+    is free.  Returns the per-request arrays and the batch table.
     """
     arrivals, _ = resolve_arrivals(qps, num_requests, seed)
     n = arrivals.size
@@ -68,16 +70,14 @@ def plain_batching(latency_model, qps, batching=BatchingConfig(),
         out["queue_wait_us"][i:j] = dispatch - np.maximum(span, ready)
         out["execute_us"][i:j] = execute
         out["batch_index"][i:j] = len(records)
-        records.append(BatchRecord(
-            index=len(records), size=j - i,
-            first_arrival_us=float(arrivals[i]), ready_us=float(ready),
-            dispatch_us=float(dispatch), finish_us=float(finish),
-            queue_depth=int(np.searchsorted(arrivals, dispatch,
-                                            side="right")) - j))
+        records.append((
+            j - i, float(arrivals[i]), float(ready), float(dispatch),
+            float(finish),
+            int(np.searchsorted(arrivals, dispatch, side="right")) - j))
         device_free = finish
         i = j
     out["arrivals_us"] = arrivals
-    return out, records
+    return out, BatchTable.from_records(records)
 
 
 #: every per-request array of a :class:`ServingReport`
@@ -99,13 +99,22 @@ def both_passes(latency_model, qps, batching, **kwargs):
     return runs
 
 
+def assert_same_columns(a, b):
+    """Two batch tables hold the same columns, dtype and bits."""
+    for name in BatchTable.fields:
+        left, right = getattr(a, name), getattr(b, name)
+        assert left.dtype == right.dtype, name
+        np.testing.assert_array_equal(left, right, err_msg=name)
+
+
 def assert_same_report(a, b, a_metrics, b_metrics):
-    """Every array, batch record, scalar and recorded metric agrees."""
+    """Every array, batch column and record, scalar and recorded
+    metric agrees."""
     for name in REPORT_ARRAYS:
         left, right = getattr(a, name), getattr(b, name)
         assert left.dtype == right.dtype, name
         np.testing.assert_array_equal(left, right, err_msg=name)
-    assert a.batch_sizes == b.batch_sizes
+    assert_same_columns(a.batches, b.batches)
     assert [r.to_dict() for r in a.batches] == \
         [r.to_dict() for r in b.batches]
     assert (a.busy_fraction, a.qps_served, a.qps_offered) == \
@@ -136,7 +145,7 @@ class TestBitIdentityWithPlainSimulator:
         for name, values in reference.items():
             np.testing.assert_array_equal(getattr(report, name), values,
                                           err_msg=name)
-        assert report.batch_sizes == [b.size for b in records]
+        assert_same_columns(report.batches, records)
         span_us = records[-1].finish_us - report.arrivals_us[0]
         assert report.qps_served == 800 / (span_us / 1e6)
 
@@ -252,6 +261,65 @@ class TestStraightLinePassMatchesGeneralLoop:
         assert bool(calls) is straight_line
 
 
+class TestBatchTableColumns:
+    """The report's batch table on both passes: bit-identical columns at
+    the edges, records built on demand, and a pickled round trip."""
+
+    def test_no_arrivals(self):
+        (fast, fast_metrics), (general, general_metrics) = both_passes(
+            linear_latency, 0.0, BatchingConfig(), arrivals=[])
+        assert_same_report(fast, general, fast_metrics, general_metrics)
+        for report in (fast, general):
+            assert len(report.batches) == 0
+            assert not report.batches
+            assert list(report.batches) == []
+            assert report.mean_batch == 0.0
+
+    def test_max_batch_one(self):
+        (fast, fast_metrics), (general, general_metrics) = both_passes(
+            linear_latency, 50_000, BatchingConfig(1, 100.0),
+            num_requests=500)
+        assert_same_report(fast, general, fast_metrics, general_metrics)
+        assert (fast.batches.size == 1).all()
+        np.testing.assert_array_equal(fast.batches.first_arrival_us,
+                                      fast.arrivals_us)
+
+    def test_saturated_every_batch_full(self):
+        # 1M QPS against one card that needs 182us per 16: every batch
+        # fills, so each is ready at its last member's arrival
+        (fast, fast_metrics), (general, general_metrics) = both_passes(
+            linear_latency, 1_000_000, BatchingConfig(16, 200.0),
+            num_requests=16 * 100)
+        assert_same_report(fast, general, fast_metrics, general_metrics)
+        table = fast.batches
+        assert (table.size == 16).all()
+        np.testing.assert_array_equal(table.ready_us,
+                                      fast.arrivals_us[15::16])
+        assert (table.queue_depth[1:-1] > 0).all()   # a backlog
+
+    def test_negative_index_and_past_end(self):
+        report = simulate_serving(linear_latency, 20_000, num_requests=300,
+                                  registry=MetricRegistry())
+        table = report.batches
+        n = len(table)
+        assert table[-1] == table[n - 1]
+        assert table[-1].index == n - 1
+        assert table[-n] == table[0]
+        assert table[0].to_dict()["size"] == int(table.size[0])
+        for k in (n, -n - 1):
+            with pytest.raises(IndexError):
+                table[k]
+
+    def test_survives_pickling(self):
+        # simulate_fleet(jobs=2) ships replica reports between processes
+        report = simulate_serving(linear_latency, 20_000, num_requests=300,
+                                  registry=MetricRegistry())
+        again = pickle.loads(pickle.dumps(report))
+        assert_same_columns(report.batches, again.batches)
+        assert [b.to_dict() for b in again.batches] == \
+            [b.to_dict() for b in report.batches]
+
+
 class TestDeadlines:
     def test_deadline_shorter_than_min_batch_latency_aborts_all(self):
         # 100us deadline < 152us best-case service: nothing can serve,
@@ -342,7 +410,7 @@ class TestCardFailures:
         slow = resilient(qps=1_000, n=300, plan=plan)
         # batch composition may shift (slower service backs the queue
         # up), so check per-request against each batch's own size
-        sizes = np.array(slow.batch_sizes)[slow.batch_index]
+        sizes = slow.batches.size[slow.batch_index]
         np.testing.assert_allclose(slow.execute_us,
                                    3.0 * (150.0 + 2.0 * sizes))
         assert slow.availability == 1.0

@@ -42,14 +42,14 @@ class TestServingSimulator:
             linear_latency, qps=1_000_000,
             batching=BatchingConfig(max_batch=32, max_wait_us=100),
             num_requests=3000)
-        assert max(report.batch_sizes) <= 32
+        assert max(report.batches.size) <= 32
 
     def test_all_requests_accounted(self):
         report = simulate_serving(linear_latency, qps=10_000,
                                   num_requests=1234)
         assert report.latencies_us.size == 1234
         assert (report.latencies_us > 0).all()
-        assert sum(report.batch_sizes) == 1234
+        assert sum(report.batches.size) == 1234
 
     def test_busy_fraction_bounds(self):
         report = simulate_serving(linear_latency, qps=5_000,
@@ -92,7 +92,7 @@ class TestBatchingConfigValidation:
         report = simulate_serving(
             linear_latency, qps=10_000, num_requests=50,
             batching=BatchingConfig(max_batch=np.int64(4)))
-        assert max(report.batch_sizes) <= 4
+        assert max(report.batches.size) <= 4
 
     def test_negative_max_wait_rejected(self):
         with pytest.raises(ValueError, match="max_wait_us"):
@@ -107,7 +107,7 @@ class TestBatchingConfigValidation:
         batching = BatchingConfig(max_batch=1, max_wait_us=0.0)
         report = simulate_serving(linear_latency, qps=10_000,
                                   batching=batching, num_requests=50)
-        assert report.batch_sizes == [1] * 50
+        assert report.batches.size.tolist() == [1] * 50
 
 
 class TestServingInputValidation:
