@@ -35,11 +35,32 @@ from typing import Dict, Iterable, List, Optional
 
 import numpy as np
 
-from repro.obs.sketch import DEFAULT_RELATIVE_ACCURACY, QuantileSketch
+from repro.obs.sketch import (DEFAULT_RELATIVE_ACCURACY, QuantileSketch,
+                               add_key_counts)
 
 __all__ = ["WindowStats", "WindowedSeries", "DEFAULT_WINDOW_US"]
 
 DEFAULT_WINDOW_US = 50_000.0
+
+#: largest (window, sign, key) count table one ``record_many`` chunk holds
+_KEY_TABLE = 1 << 20
+
+
+def _floor_divide(ts: np.ndarray, width: float) -> np.ndarray:
+    """``np.floor_divide(ts, width)``: the floor of the exact quotient.
+
+    ``floor(ts / width)`` is that floor unless the rounded quotient lies
+    within its rounding error (``|q|·2⁻⁵²``) of an integer; those few
+    times are divided again with ``np.floor_divide``, whose ``fmod``
+    path costs about ten times as much per value.
+    """
+    quotient = ts / width
+    index = np.floor(quotient)
+    frac = quotient - index
+    slack = np.abs(quotient) * 2.0 ** -50
+    near = np.flatnonzero((frac <= slack) | (frac >= 1.0 - slack))
+    index[near] = np.floor_divide(ts[near], width)
+    return index
 
 
 class WindowStats:
@@ -115,19 +136,27 @@ class WindowedSeries:
         self._window(int(t_us // self.window_us)).observe(float(value))
 
     def record_many(self, ts_us: Iterable[float],
-                    values: Optional[Iterable[float]] = None) -> None:
+                    values: Optional[Iterable[float]] = None,
+                    keys: Optional[np.ndarray] = None) -> None:
         """Bulk :meth:`record`; ``values=None`` counts occurrences.
 
-        Bit-identical to the equivalent sequence of :meth:`record` calls.
-        Observations are grouped by window with a stable sort, so each
+        Bit-identical to the equivalent sequence of :meth:`record` calls,
+        in a fixed number of whole-array passes however many windows the
+        values touch.  Observations are grouped by window with a stable
+        sort (skipped when the window indices already ascend), so each
         window sees its values in input order: its running total is
         continued by a weighted ``np.bincount`` (one sequential ``+=``
-        per value, never a pairwise reduction), its min and max are the
-        first occurrences of the extreme (``argmin``/``argmax``, the
-        ``<``/``>`` tie rule of :meth:`WindowStats.observe`), and its
-        sketch takes the values in input order.  NaN values, infinite
-        times and times beyond an int64 window index raise
-        ``ValueError``.
+        per value, never a pairwise reduction), and its min and max come
+        from ``reduceat`` (a zero extreme is re-read with ``argmin``/
+        ``argmax``, so the first of ``0.0`` and ``-0.0`` stays, the
+        ``<``/``>`` tie rule of :meth:`WindowStats.observe`).  With
+        ``track_quantiles`` the values are keyed once (``keys``, when
+        given, is the caller's :meth:`QuantileSketch.bucket_keys` of
+        ``values`` at this series' ``relative_accuracy``) and every
+        (window, sign, key) count comes from one ``np.bincount``.  NaN
+        values, infinite times and times beyond an int64 window index
+        raise ``ValueError``, as do infinite values when quantiles are
+        tracked.
         """
         ts = np.asarray(ts_us, dtype=float).ravel()
         if ts.size == 0:
@@ -140,37 +169,104 @@ class WindowedSeries:
             raise ValueError("cannot record NaN values")
         if not np.isfinite(ts).all():
             raise ValueError("ts_us must be finite")
-        index = np.floor_divide(ts, self.window_us)
+        index = _floor_divide(ts, self.window_us)
         if np.abs(index).max() >= 2.0 ** 63:
             raise ValueError("ts_us is beyond the int64 window range")
         index = index.astype(np.int64)
-        order = np.argsort(index, kind="stable")
-        index, vals = index[order], vals[order]
+        if not self.track_quantiles:
+            keys = None
+        elif keys is None:
+            keys = QuantileSketch(self.relative_accuracy).bucket_keys(vals)
+        elif np.shape(keys) != vals.shape:
+            raise ValueError("values and keys must align")
+        if (index[1:] < index[:-1]).any():
+            order = np.argsort(index, kind="stable")
+            index, vals = index[order], vals[order]
+            if keys is not None:
+                keys = keys[order]
         first = np.ones(index.size, dtype=bool)
         first[1:] = index[1:] != index[:-1]
-        bounds = np.append(np.flatnonzero(first), index.size).tolist()
-        windows = [self._window(i) for i in index[first].tolist()]
+        starts = np.flatnonzero(first)
+        ends = np.append(starts[1:], index.size)
+        windows = [self._window(i) for i in index[starts].tolist()]
         # Each window's old total goes in first, then its values in
         # order.  A total never holds -0.0 (it starts at +0.0), so the
         # bincount's own 0.0 + total is exact.
-        slots = np.cumsum(first) - 1
+        slots = np.repeat(np.arange(len(windows)), ends - starts)
         totals = np.bincount(
             np.concatenate([np.arange(len(windows)), slots]),
             weights=np.concatenate([[w.total for w in windows], vals]),
             minlength=len(windows)).tolist()
-        for stats, lo, hi, total in zip(windows, bounds[:-1], bounds[1:],
-                                        totals):
-            segment = vals[lo:hi]
-            stats.count += hi - lo
+        lows = np.minimum.reduceat(vals, starts)
+        highs = np.maximum.reduceat(vals, starts)
+        for w in np.flatnonzero((lows == 0.0) | (highs == 0.0)).tolist():
+            segment = vals[starts[w]:ends[w]]
+            lows[w] = segment[segment.argmin()]
+            highs[w] = segment[segment.argmax()]
+        for stats, count, total, low, high in zip(
+                windows, (ends - starts).tolist(), totals, lows.tolist(),
+                highs.tolist()):
+            stats.count += count
             stats.total = total
-            low = float(segment[segment.argmin()])
-            high = float(segment[segment.argmax()])
             if low < stats.min:
                 stats.min = low
             if high > stats.max:
                 stats.max = high
-            if stats.sketch is not None:
-                stats.sketch.add_many(segment)
+            sketch = stats.sketch
+            if sketch is not None:
+                if low < sketch._min:
+                    sketch._min = low
+                if high > sketch._max:
+                    sketch._max = high
+        if keys is not None:
+            self._count_keys([w.sketch for w in windows], slots, vals, keys)
+
+    @staticmethod
+    def _count_keys(sketches: List[Optional[QuantileSketch]],
+                    slots: np.ndarray, vals: np.ndarray,
+                    keys: np.ndarray) -> None:
+        """Add every value's bucket to its window's sketch.
+
+        ``slots`` (ascending) numbers each value's window in
+        ``sketches``; a window restored without sketch state has none
+        and is skipped, as :meth:`WindowStats.observe` skips it.  One
+        ``np.bincount`` over ``(slot, sign, key)`` codes counts the keys
+        of a chunk of windows; chunks keep the count table within
+        ``_KEY_TABLE`` entries (one chunk unless the keys span a very
+        wide range).  Each key map grows in ascending key order, as
+        :meth:`QuantileSketch.add_many` grows it.
+        """
+        zeros = np.bincount(slots[vals == 0.0],
+                            minlength=len(sketches)).tolist()
+        for sketch, count in zip(sketches, zeros):
+            if sketch is not None:
+                sketch.zero_count += count
+        nonzero = vals != 0.0
+        if not nonzero.any():
+            return
+        slots, keys = slots[nonzero], keys[nonzero]
+        low = int(keys.min())
+        span = int(keys.max()) - low + 1
+        # code = (slot * 2 + negative) * span + key offset
+        codes = (slots * 2 + (vals[nonzero] < 0.0)) * span + (keys - low)
+        step = max(1, _KEY_TABLE // (2 * span))
+        for first in range(0, len(sketches), step):
+            begin, end = np.searchsorted(slots, (first, first + step))
+            table = np.bincount(codes[begin:end] - first * 2 * span)
+            present = np.flatnonzero(table)
+            # one group per (window, sign) plane, keys ascending within
+            plane, offset = np.divmod(present, span)
+            cuts = np.flatnonzero(plane[1:] != plane[:-1]) + 1
+            keys_l = (offset + low).tolist()
+            counts_l = table[present].tolist()
+            for p, lo, hi in zip(plane[np.append(0, cuts)].tolist(),
+                                 [0, *cuts.tolist()],
+                                 [*cuts.tolist(), present.size]):
+                sketch = sketches[first + p // 2]
+                if sketch is not None:
+                    add_key_counts(
+                        sketch.neg_counts if p % 2 else sketch.counts,
+                        keys_l[lo:hi], counts_l[lo:hi])
 
     # -- structure -------------------------------------------------------
     def __len__(self) -> int:

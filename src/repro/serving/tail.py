@@ -111,12 +111,20 @@ class TailAttribution:
         return "\n".join(lines)
 
 
-def _cohort_category_mix(report, idx: np.ndarray,
-                         latency_model) -> Dict[str, float]:
-    """Request-weighted operator-category mix for one cohort."""
+def _cohort_category_mix(report, idx: np.ndarray, latency_model,
+                         fractions: Dict[int, Dict[str, float]]
+                         ) -> Dict[str, float]:
+    """Request-weighted operator-category mix for one cohort.
+
+    ``fractions`` memoises ``latency_model.category_fractions`` by batch
+    size across cohorts, so each distinct size is asked for once; the
+    sum still runs request by request, in cohort order.
+    """
     mix: Dict[str, float] = {}
     for batch in report.batches.size[report.batch_index[idx]].tolist():
-        for cat, frac in latency_model.category_fractions(batch).items():
+        if batch not in fractions:
+            fractions[batch] = latency_model.category_fractions(batch)
+        for cat, frac in fractions[batch].items():
             mix[cat] = mix.get(cat, 0.0) + frac
     total = sum(mix.values())
     if total > 0:
@@ -173,8 +181,11 @@ def attribute_tail(report, latency_model=None, tail_q: float = 99.0,
     )
     if latency_model is not None and hasattr(latency_model,
                                              "category_fractions"):
-        tail_mix = _cohort_category_mix(report, tail_idx, latency_model)
-        median_mix = _cohort_category_mix(report, median_idx, latency_model)
+        fractions: Dict[int, Dict[str, float]] = {}
+        tail_mix = _cohort_category_mix(report, tail_idx, latency_model,
+                                        fractions)
+        median_mix = _cohort_category_mix(report, median_idx, latency_model,
+                                          fractions)
         result.category_mix = {"tail": tail_mix, "median": median_mix,
                                "delta": _mix_delta(tail_mix, median_mix)}
     if stall_mix:

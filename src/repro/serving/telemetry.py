@@ -32,7 +32,6 @@ and the CI telemetry job both assert this).
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -103,7 +102,9 @@ class ServingTelemetry:
         out.replicas = [int(replica)]
         mask = report.served_mask
         lat = report.latencies_us[mask]
-        out.latency.add_many(lat)
+        # the latency sketch and the latency series share one keying
+        lat_keys = out.latency.bucket_keys(lat)
+        out.latency.add_many(lat, lat_keys)
         for name in PHASES:
             out.phases[name].add_many(getattr(report, f"{name}_us")[mask])
         batches = report.batches
@@ -116,7 +117,7 @@ class ServingTelemetry:
         if arrivals.size:
             out.series["requests"].record_many(arrivals)
             finish = arrivals[mask] + lat
-            out.series["latency_us"].record_many(finish, lat)
+            out.series["latency_us"].record_many(finish, lat, lat_keys)
         out.series["queue_depth"].record_many(batches.dispatch_us,
                                               batches.queue_depth)
 
@@ -170,13 +171,21 @@ class ServingTelemetry:
                   ) -> "ServingTelemetry":
         """Merge per-replica telemetry in replica-index order.
 
-        Returns a new object; no part is modified.
+        Folds every part, in that order, into a fresh empty telemetry
+        with the first part's windows, accuracy and exemplar settings:
+        each merge copies what it takes in, so the result is a new
+        object and no part is modified.
         """
         if not parts:
             raise ValueError("nothing to merge")
         ordered = sorted(parts, key=lambda t: min(t.replicas or [0]))
-        out = copy.deepcopy(ordered[0])
-        for part in ordered[1:]:
+        head = ordered[0]
+        out = cls(window_us=head.window_us,
+                  relative_accuracy=head.relative_accuracy,
+                  slowest_k=head.exemplars.slowest_k,
+                  reservoir_size=head.exemplars.reservoir_size,
+                  seed=head.seed)
+        for part in ordered:
             out.merge(part)
         return out
 

@@ -272,6 +272,45 @@ class TestTailAttribution:
         assert tail.category_mix["tail"]["fc"] == pytest.approx(0.75)
         assert sum(tail.category_mix["median"].values()) == pytest.approx(1)
 
+    def test_category_fractions_asked_once_per_batch_size(self):
+        """The mix asks for each distinct batch size's fractions once and
+        still sums them request by request, so it equals the sum that
+        asks per request, bit for bit."""
+        report = run(qps=60_000, n=6_000)
+
+        class CountingModel:
+            def __init__(self):
+                self.calls = 0
+
+            def category_fractions(self, batch):
+                self.calls += 1
+                fc = 1.0 / (1.0 + 0.1 * batch)
+                return {"fc": fc, "eb": 1.0 - fc, "misc": 0.1 / batch}
+
+        model = CountingModel()
+        tail = attribute_tail(report, model)
+        sizes = report.batches.size[report.batch_index[
+            report.served_mask]]
+        assert 0 < model.calls <= np.unique(sizes).size
+
+        def per_request(idx):
+            mix = {}
+            for batch in report.batches.size[report.batch_index[idx]]:
+                for cat, frac in CountingModel().category_fractions(
+                        int(batch)).items():
+                    mix[cat] = mix.get(cat, 0.0) + frac
+            total = sum(mix.values())
+            return {k: v / total for k, v in mix.items()}
+
+        served = np.flatnonzero(report.served_mask)
+        latency = report.latencies_us[served]
+        tail_idx = served[latency >= np.percentile(latency, 99.0)]
+        lo, hi = np.percentile(latency, 25.0), np.percentile(latency, 75.0)
+        median_idx = served[(latency >= lo) & (latency <= hi)]
+        assert repr(tail.category_mix["tail"]) == repr(per_request(tail_idx))
+        assert (repr(tail.category_mix["median"])
+                == repr(per_request(median_idx)))
+
     def test_stall_mix_passthrough_with_delta(self):
         mix = {"tail": {"dram_queue": 0.6, "dep_interlock": 0.4},
                "median": {"dram_queue": 0.2, "dep_interlock": 0.8}}

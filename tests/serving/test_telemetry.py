@@ -1,5 +1,6 @@
 """ServingTelemetry: derivation, merging, exemplar span fidelity."""
 
+import copy
 import json
 
 import numpy as np
@@ -115,6 +116,34 @@ class TestMerge:
         assert all(merged is not p for p in parts)
         assert [json.dumps(p.to_dict(include_state=True), sort_keys=True)
                 for p in parts] == before
+
+    def test_merge_all_equals_the_deep_copy_fold(self):
+        """``merge_all`` folds into a fresh telemetry; the result equals
+        deep-copying the first part and merging the rest into it, with
+        every setting (window, accuracy, exemplar sizes, seed) carried
+        over, and merging more into the result leaves the parts alone."""
+        settings = dict(window_us=20_000.0, relative_accuracy=0.02,
+                        slowest_k=3, reservoir_size=5, seed=11)
+        parts = [ServingTelemetry.from_report(run(seed=20 + i, n=600),
+                                              replica=i, **settings)
+                 for i in range(3)]
+
+        def state(tel):
+            return json.dumps(
+                {"telemetry": tel.to_dict(include_state=True),
+                 "series": {name: series.to_dict(include_sketch_state=True)
+                            for name, series in tel.series.items()}},
+                sort_keys=True)
+
+        before = [state(p) for p in parts]
+        oracle = copy.deepcopy(parts[0])
+        for part in parts[1:]:
+            oracle.merge(part)
+        merged = ServingTelemetry.merge_all(parts)
+        assert state(merged) == state(oracle)
+        merged.merge(ServingTelemetry.from_report(run(seed=30, n=600),
+                                                  replica=3, **settings))
+        assert [state(p) for p in parts] == before
 
     def test_merge_rejects_mismatched_windows(self):
         a = ServingTelemetry(window_us=50_000.0)
