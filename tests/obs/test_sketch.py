@@ -48,6 +48,12 @@ class TestBasics:
             QuantileSketch().add(float("nan"))
         with pytest.raises(ValueError):
             QuantileSketch().add_many([1.0, float("nan")])
+        # add() overflows on infinity; the bulk paths refuse it up front
+        for bad in (float("inf"), -float("inf")):
+            with pytest.raises(ValueError):
+                QuantileSketch().add_many([1.0, bad])
+            with pytest.raises(ValueError):
+                QuantileSketch().bucket_keys([bad])
 
     def test_add_many_matches_add(self):
         rng = np.random.default_rng(0)
