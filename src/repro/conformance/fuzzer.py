@@ -29,22 +29,24 @@ _FUSABLE_ACTS = ("relu", "tanh", "sigmoid")
 #: Activations fusion cannot fold (keep some unfused coverage).
 _UNFUSABLE_ACTS = ("gelu",)
 
+#: Bounds of the generated graphs.
+MAX_FC_LAYERS = 3
+MAX_TABLES = 5
+MAX_ROWS = 192
+MAX_POOLING = 8
+MAX_WIDTH = 96
+BATCHES = (4, 8, 16)
+#: probability an FC layer gets an INT8 quantize/dequantize bracket
+P_QUANTIZED = 0.5
+#: probability a same-dim EB group is emitted (TBE-mergeable)
+P_SAME_DIM_TABLES = 0.7
+
 
 @dataclass
 class FuzzConfig:
-    """Knobs bounding the generated graphs."""
+    """The operator families the generated graphs draw from."""
 
     ops: Tuple[str, ...] = OP_FAMILIES
-    max_fc_layers: int = 3
-    max_tables: int = 5
-    max_rows: int = 192
-    max_pooling: int = 8
-    max_width: int = 96
-    batches: Tuple[int, ...] = (4, 8, 16)
-    #: probability an FC layer gets an INT8 quantize/dequantize bracket
-    p_quantized: float = 0.5
-    #: probability a same-dim EB group is emitted (TBE-mergeable)
-    p_same_dim_tables: float = 0.7
 
     def __post_init__(self):
         unknown = set(self.ops) - set(OP_FAMILIES)
@@ -64,20 +66,20 @@ class FuzzCase:
     summary: Dict[str, object] = field(default_factory=dict)
 
 
-def _rand_width(rng: np.random.Generator, config: FuzzConfig) -> int:
-    return int(rng.integers(4, config.max_width + 1))
+def _rand_width(rng: np.random.Generator) -> int:
+    return int(rng.integers(4, MAX_WIDTH + 1))
 
 
 def _fc_stack(b: GraphBuilder, rng: np.random.Generator,
               config: FuzzConfig, x, prefix: str,
               weights: Dict[str, np.ndarray]):
     """An MLP chain with optional q/dq brackets and activations."""
-    layers = int(rng.integers(1, config.max_fc_layers + 1))
+    layers = int(rng.integers(1, MAX_FC_LAYERS + 1))
     for i in range(layers):
         in_width = x.meta.shape[-1]
-        width = _rand_width(rng, config)
+        width = _rand_width(rng)
         quantized = ("quantize" in config.ops
-                     and rng.random() < config.p_quantized)
+                     and rng.random() < P_QUANTIZED)
         if quantized:
             scale = float(rng.choice([0.02, 0.05, 0.1]))
             x = b.add("quantize", (x.name,), scale=scale,
@@ -107,18 +109,18 @@ def _fc_stack(b: GraphBuilder, rng: np.random.Generator,
 
 
 def _eb_group(b: GraphBuilder, rng: np.random.Generator,
-              config: FuzzConfig, batch: int, prefix: str,
+              batch: int, prefix: str,
               feeds: Dict[str, np.ndarray],
               weights: Dict[str, np.ndarray]):
     """EmbeddingBags feeding one concat — the TBE merge candidate."""
-    num_tables = int(rng.integers(2, config.max_tables + 1))
-    pooling = int(rng.integers(2, config.max_pooling + 1))
-    same_dim = rng.random() < config.p_same_dim_tables
+    num_tables = int(rng.integers(2, MAX_TABLES + 1))
+    pooling = int(rng.integers(2, MAX_POOLING + 1))
+    same_dim = rng.random() < P_SAME_DIM_TABLES
     base_dim = int(rng.integers(4, 33))
     pooled = []
     for t in range(num_tables):
         dim = base_dim if same_dim else int(rng.integers(4, 33))
-        rows = int(rng.integers(16, config.max_rows + 1))
+        rows = int(rng.integers(16, MAX_ROWS + 1))
         table = b.weight((rows, dim), dtype="int8",
                          name=f"{prefix}_table{t}")
         weights[table.name] = rng.integers(-64, 64, (rows, dim),
@@ -163,12 +165,12 @@ def fuzz_graph(seed: int, config: Optional[FuzzConfig] = None) -> FuzzCase:
     """Generate one valid graph + bound data, purely from ``seed``."""
     config = config or FuzzConfig()
     rng = np.random.default_rng(seed)
-    batch = int(rng.choice(config.batches))
+    batch = int(rng.choice(BATCHES))
     b = GraphBuilder(f"fuzz_{seed}")
     feeds: Dict[str, np.ndarray] = {}
     weights: Dict[str, np.ndarray] = {}
 
-    dense_features = _rand_width(rng, config)
+    dense_features = _rand_width(rng)
     dense = b.input((batch, dense_features), dtype="fp32", name="dense")
     feeds[dense.name] = rng.standard_normal(
         (batch, dense_features)).astype(np.float32)
@@ -180,8 +182,7 @@ def fuzz_graph(seed: int, config: Optional[FuzzConfig] = None) -> FuzzCase:
     branches.append(bottom)
 
     if "eb" in config.ops:
-        branches.append(_eb_group(b, rng, config, batch, "sp", feeds,
-                                  weights))
+        branches.append(_eb_group(b, rng, batch, "sp", feeds, weights))
 
     if len(branches) > 1:
         features = b.add("concat", [n.name for n in branches], axis=1,

@@ -59,6 +59,10 @@ AVAILABILITY_TARGET = 0.99
 SCENARIOS = ("card_failure", "card_slowdown", "timeout_pressure",
              "overload_shed")
 
+#: survivor-card execute multiplier after a card failure when no
+#: failover estimate measures it (``--no-failover``)
+UNMEASURED_FAILOVER_SLOWDOWN = 1.3
+
 
 def synthetic_latency_model(batch: int) -> float:
     """The campaign's fixed batch-latency model (no model stack needed)."""
@@ -74,9 +78,6 @@ class CampaignConfig:
     requests: int = 2000
     qps: float = 20_000.0
     cards: int = 4
-    #: survivor-card execute multiplier after a failover; overwritten
-    #: by the measured failover estimate unless hardware=False
-    failover_slowdown: float = 1.3
     include_hardware: bool = True
     include_failover: bool = True
 
@@ -94,7 +95,7 @@ class CampaignConfig:
         """Expected arrival-stream span."""
         return self.requests * 1e6 / self.qps
 
-    def to_dict(self) -> Dict:
+    def to_dict(self, failover_slowdown: float) -> Dict:
         return {"schema_version": SCHEMA_VERSION,
                 "seeds": self.seed_list(), "requests": self.requests,
                 "qps": self.qps, "cards": self.cards,
@@ -104,13 +105,14 @@ class CampaignConfig:
                                   "slope_us": DEFAULT_SLOPE_US},
                 "sla_us": SLA_US,
                 "availability_target": AVAILABILITY_TARGET,
-                "failover_slowdown": self.failover_slowdown,
+                "failover_slowdown": failover_slowdown,
                 "scenarios": list(SCENARIOS)}
 
 
 # -- scenario construction ---------------------------------------------------
 
-def _scenario_setup(name: str, seed: int, cfg: CampaignConfig
+def _scenario_setup(name: str, seed: int, cfg: CampaignConfig,
+                    failover_slowdown: float
                     ) -> Tuple[FaultPlan, ResilienceConfig, float]:
     """(plan, resilience, qps) for one scenario instance."""
     span = cfg.makespan_us
@@ -121,7 +123,7 @@ def _scenario_setup(name: str, seed: int, cfg: CampaignConfig
                              target=dead, duration=PERMANENT)]
         events += [FaultEvent(start=fail_at, kind="card.slowdown",
                               target=c, duration=PERMANENT,
-                              magnitude=cfg.failover_slowdown)
+                              magnitude=failover_slowdown)
                    for c in range(cfg.cards) if c != dead]
         plan = FaultPlan(events=tuple(events), seed=seed)
         res = ResilienceConfig(num_cards=cfg.cards, max_retries=2)
@@ -174,8 +176,6 @@ def _report_stats(report) -> Dict:
         "p99_us": report.p99_us,
         "mean_attempts": mean_attempts,
         "retry_overhead_mean_us": report.breakdown_means()["retry_overhead"],
-        "hedged_batches": report.hedged_batches,
-        "hedge_wins": report.hedge_wins,
         "busy_fraction": report.busy_fraction,
         "slo_burn_rate": slo.burn_rate,
         "slo_violations": slo.violations,
@@ -183,11 +183,13 @@ def _report_stats(report) -> Dict:
     }
 
 
-def run_scenario(name: str, seed: int, cfg: CampaignConfig) -> Dict:
-    """One (scenario, seed) cell plus its fault-free baseline."""
+def run_scenario(name: str, seed: int, cfg: CampaignConfig,
+                 failover_slowdown: float) -> Dict:
+    """One (scenario, seed) cell plus its fault-free baseline; after a
+    card failure the survivors run ``failover_slowdown`` times slower."""
     from repro.obs.metrics import MetricRegistry
 
-    plan, res, qps = _scenario_setup(name, seed, cfg)
+    plan, res, qps = _scenario_setup(name, seed, cfg, failover_slowdown)
     faulted = simulate_serving(
         synthetic_latency_model, qps, CAMPAIGN_BATCHING,
         resilience=res, num_requests=cfg.requests, seed=seed,
@@ -219,10 +221,9 @@ def run_scenario(name: str, seed: int, cfg: CampaignConfig) -> Dict:
     return row
 
 
-def _scenario_job(job: Tuple[str, int, CampaignConfig]) -> Dict:
+def _scenario_job(job: Tuple[str, int, CampaignConfig, float]) -> Dict:
     """Module-level wrapper so the sweep survives ``spawn`` workers."""
-    name, seed, cfg = job
-    return run_scenario(name, seed, cfg)
+    return run_scenario(*job)
 
 
 # -- hardware microbench -----------------------------------------------------
@@ -315,18 +316,14 @@ def run_campaign(cfg: Optional[CampaignConfig] = None,
     cfg = cfg or CampaignConfig()
 
     failover = None
+    slowdown = UNMEASURED_FAILOVER_SLOWDOWN
     if cfg.include_failover:
         failover = failover_section(cards_target=cfg.cards)
         # feed the measured degradation back into the card_failure
         # scenario so survivor slowdown is the failover estimate's
-        cfg = CampaignConfig(
-            seeds=cfg.seeds, seed_start=cfg.seed_start,
-            requests=cfg.requests, qps=cfg.qps, cards=cfg.cards,
-            failover_slowdown=max(1.0, failover["slowdown"]),
-            include_hardware=cfg.include_hardware,
-            include_failover=cfg.include_failover)
+        slowdown = max(1.0, failover["slowdown"])
 
-    cells = [(name, seed, cfg) for seed in cfg.seed_list()
+    cells = [(name, seed, cfg, slowdown) for seed in cfg.seed_list()
              for name in SCENARIOS]
     callback = (None if progress is None
                 else lambda _index, row: progress(row))
@@ -360,7 +357,7 @@ def run_campaign(cfg: Optional[CampaignConfig] = None,
                    if r["scenario"] == "card_failure")
     report = {
         "schema_version": SCHEMA_VERSION,
-        "config": cfg.to_dict(),
+        "config": cfg.to_dict(slowdown),
         "scenarios": scenarios,
         "summary": summary,
         "checks": {"graceful_degradation": graceful},

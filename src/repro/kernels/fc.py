@@ -407,7 +407,6 @@ def run_fc(acc: Accelerator, a: Optional[np.ndarray] = None,
            k_split: Optional[int] = None,
            use_multicast: bool = True,
            dual_core: bool = True,
-           auto_pad: bool = False,
            seed: int = 0,
            operand_region: str = "dram",
            cache=None) -> FCResult:
@@ -417,13 +416,6 @@ def run_fc(acc: Accelerator, a: Optional[np.ndarray] = None,
     the dimensions (random operands are generated).  Returns the
     computed ``C^T`` and the cycle count; the caller is responsible for
     checking against a reference (the test-suite does).
-
-    ``auto_pad=True`` zero-pads the operands to the sub-grid's tile
-    multiples and slices the padding back off the result — the shape
-    legalisation the paper's compiler performs ("the outer dimension
-    stride is aligned ... for efficient data movement", Section 4).
-    The returned ``macs`` counts only the *useful* work, so achieved
-    TOPS reflect the padding waste.
 
     ``use_multicast`` and ``dual_core`` are the Section 3.5 / Section 7
     ablation knobs: disable NoC read coalescing, or run both command
@@ -479,16 +471,6 @@ def run_fc(acc: Accelerator, a: Optional[np.ndarray] = None,
             raise ValueError(f"k mismatch: A is {a.shape}, B^T is {b_t.shape}")
         require_positive(m=m, k=k, n=n)
 
-    true_m, true_n = m, n
-    if auto_pad:
-        if subgrid is None:
-            subgrid = acc.subgrid((0, 0), 1, 1)
-        pm, pk, pn = padded_shape(m, k, n, subgrid,
-                                  k_split=k_split or 1)
-        if (pm, pk, pn) != (m, k, n):
-            a = _zero_pad(a, pm, pk)
-            b_t = _zero_pad(b_t, pn, pk)
-            m, k, n = pm, pk, pn
     if subgrid is None:
         subgrid = _auto_subgrid(acc, m, k, n)
     plan = plan_fc(subgrid, m, k, n, dtype, k_split=k_split,
@@ -499,19 +481,15 @@ def run_fc(acc: Accelerator, a: Optional[np.ndarray] = None,
     if usable_for(sim_cache, acc):
         payload = {
             "op": "fc", "machine": machine_payload(acc),
-            "m": m, "k": k, "n": n, "true_m": true_m, "true_n": true_n,
+            "m": m, "k": k, "n": n,
             "dtype": dtype.name,
             "subgrid": (subgrid.origin, subgrid.rows, subgrid.cols),
             "k_split": plan.k_split, "use_multicast": use_multicast,
-            "dual_core": dual_core,
+            "dual_core": dual_core, "operand_region": operand_region,
             "operands": ({"a": simcache.array_digest(a),
                           "b_t": simcache.array_digest(b_t)}
                          if operands_given else f"generated:{seed}"),
         }
-        if operand_region != "dram":
-            # Keyed only when non-default so pre-existing DRAM-placed
-            # fingerprints stay valid.
-            payload["operand_region"] = operand_region
         key = simcache.fingerprint(payload)
         entry = sim_cache.lookup(key, "fc",
                                  need_stalls=acc.engine.obs.enabled)
@@ -519,7 +497,7 @@ def run_fc(acc: Accelerator, a: Optional[np.ndarray] = None,
             replay_stalls(acc, entry)
             return FCResult(c_t=entry.outputs["c_t"].copy(),
                             cycles=entry.cycles, plan=plan,
-                            macs=true_m * true_n * k)
+                            macs=m * n * k)
 
     if operand_region == "sram":
         a = np.ascontiguousarray(a)
@@ -539,35 +517,15 @@ def run_fc(acc: Accelerator, a: Optional[np.ndarray] = None,
     cycles = acc.engine.now - start
 
     c_t = acc.download(c_addr, (n, m), out_np)
-    if (true_m, true_n) != (m, n):
-        c_t = np.ascontiguousarray(c_t[:true_n, :true_m])
     if key is not None:
         stalls, recorded = record_stalls(acc)
         sim_cache.store(simcache.CacheEntry(
             key=key, op="fc", cycles=cycles, outputs={"c_t": c_t.copy()},
             stalls=stalls, stalls_recorded=recorded,
-            extras={"m": true_m, "k": k, "n": true_n,
+            extras={"m": m, "k": k, "n": n,
                     "dtype": dtype.name}))
     return FCResult(c_t=c_t, cycles=cycles, plan=plan,
-                    macs=true_m * true_n * k)
-
-
-def padded_shape(m: int, k: int, n: int, subgrid: SubGrid,
-                 k_split: int = 1) -> tuple:
-    """Smallest (m, k, n) >= the inputs that tiles onto ``subgrid``."""
-    def round_up(value: int, multiple: int) -> int:
-        return (value + multiple - 1) // multiple * multiple
-
-    n_split = max(1, subgrid.cols // k_split)
-    return (round_up(m, TILE_MN * subgrid.rows),
-            round_up(k, TILE_K * k_split),
-            round_up(n, TILE_MN * n_split))
-
-
-def _zero_pad(array: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    out = np.zeros((rows, cols), dtype=array.dtype)
-    out[:array.shape[0], :array.shape[1]] = array
-    return out
+                    macs=m * n * k)
 
 
 def _auto_subgrid(acc: Accelerator, m: int, k: int, n: int) -> SubGrid:

@@ -26,6 +26,9 @@ import numpy as np
 
 from repro.compiler.ir import Graph, GraphBuilder
 
+#: bytes per embedding-table element: the rows are 8-bit quantised
+TABLE_DTYPE_BYTES = 1
+
 
 @dataclass
 class DLRMConfig:
@@ -54,7 +57,6 @@ class DLRMConfig:
     #: work contributing to Table III's "Others").
     tower_residual: bool = False
     quantized: bool = True               #: INT8 MLPs with q/dq brackets
-    table_dtype_bytes: int = 1           #: 8-bit quantised rows
 
     def __post_init__(self):
         if self.bottom_mlp and self.bottom_mlp[-1] != self.embedding_dim:
@@ -102,7 +104,7 @@ class DLRMConfig:
 def model_size_bytes(config: DLRMConfig) -> int:
     """Parameter bytes — embedding tables plus MLP weights (Table IV)."""
     tables = (config.num_tables * config.rows_per_table
-              * config.embedding_dim * config.table_dtype_bytes)
+              * config.embedding_dim * TABLE_DTYPE_BYTES)
     weight_bytes = 1 if config.quantized else 2
     mlp = 0
     prev = config.dense_features

@@ -742,6 +742,24 @@ def _replica_job(task) -> ServingReport:
         arrivals=arrivals)
 
 
+def _split_copies(times: np.ndarray, hedge_us: float,
+                  decision: RoutingDecision, hedged_ids: np.ndarray,
+                  num: int) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+    """Each replica's copies and their arrival times, in local order.
+
+    ``times`` are the primaries' arrivals at their replicas.  Copy ``c``
+    is request ``c``'s primary for ``c < n``, else the hedge copy of
+    ``hedged_ids[c - n]``.  Copies group stably by replica (primaries
+    first, each in request order), then sort stably by time.
+    """
+    times = np.concatenate([times, times[hedged_ids] + hedge_us])
+    replica = np.concatenate([decision.assigned, decision.hedged[hedged_ids]])
+    grouped = np.split(np.argsort(replica, kind="stable"),
+                       np.cumsum(np.bincount(replica, minlength=num))[:-1])
+    copies = [c[np.argsort(times[c], kind="stable")] for c in grouped]
+    return copies, [times[c] for c in copies]
+
+
 def simulate_fleet(latency_model, traffic, config: FleetConfig,
                    fault_plan=None, jobs: int = 1,
                    collect_telemetry: bool = True,
@@ -784,25 +802,12 @@ def simulate_fleet(latency_model, traffic, config: FleetConfig,
     decision = route_requests_vectorised(arrivals, router, specs,
                                          service_us)
 
-    # -- per-replica arrival vectors + local-position maps ----------------
+    # -- per-replica arrival vectors --------------------------------------
     route_us = router.route_latency_us
     hedge_us = router.hedge_delay_us
-    local_arrivals: List[np.ndarray] = []
-    #: per replica: (fleet request index, is_hedge) per local position
-    local_owner: List[np.ndarray] = []
-    local_is_hedge: List[np.ndarray] = []
-    for r in range(num):
-        primary = np.flatnonzero(decision.assigned == r)
-        hedge = np.flatnonzero(decision.hedged == r)
-        times = np.concatenate([arrivals[primary] + route_us,
-                                arrivals[hedge] + route_us + hedge_us])
-        owners = np.concatenate([primary, hedge])
-        flags = np.concatenate([np.zeros(primary.size, dtype=bool),
-                                np.ones(hedge.size, dtype=bool)])
-        order = np.argsort(times, kind="stable")
-        local_arrivals.append(times[order])
-        local_owner.append(owners[order])
-        local_is_hedge.append(flags[order])
+    hedged_ids = np.flatnonzero(decision.hedged >= 0)
+    local_copies, local_arrivals = _split_copies(
+        arrivals + route_us, hedge_us, decision, hedged_ids, num)
 
     resilience = config.resilience
     tasks = [(r, models[r], config.batching,
@@ -816,9 +821,10 @@ def simulate_fleet(latency_model, traffic, config: FleetConfig,
     # -- assemble the fleet view (winner per request, fixed order) --------
     # every copy, concatenated in replica order; ``start[r]`` is replica
     # r's first copy
-    start = np.cumsum([0] + [owners.size for owners in local_owner])
-    owner = np.concatenate(local_owner)
-    is_hedge = np.concatenate(local_is_hedge)
+    start = np.cumsum([0] + [c.size for c in local_copies])
+    owner = np.concatenate(local_copies)    # copy ids, then their requests
+    is_hedge = owner >= n
+    owner[is_hedge] = hedged_ids[owner[is_hedge] - n]
     copy_latency = np.concatenate([report.latencies_us
                                    for report in reports])
     copy_status = np.concatenate([report.status for report in reports])

@@ -9,9 +9,6 @@ production serving tier layers over the accelerator:
   dispatch, before wasting device time, or at completion, after it);
 * **retries** — abandoned attempts re-enqueue after a capped
   exponential backoff, up to ``max_retries`` times;
-* **hedging** — a batch that sat queued longer than ``hedge_after_us``
-  dispatches on the *two* earliest-free cards; the first surviving copy
-  wins, the loser's device time is wasted work;
 * **load shedding** — arrivals beyond ``shed_queue_depth`` still
   waiting at a dispatch instant are dropped at admission;
 * **graceful degradation** — cards fail and recover on the schedule of
@@ -20,11 +17,14 @@ production serving tier layers over the accelerator:
   and retry elsewhere.
 
 Every knob is off by default, and the default config is the plain
-single-card batching window.
+single-card batching window.  Hedging lives one level up, in the fleet
+router's ``hedge`` policy (:mod:`repro.serving.fleet`).
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 
@@ -39,21 +39,24 @@ class ResilienceConfig:
     #: first backoff; attempt ``a`` waits ``backoff * 2**a``, capped
     retry_backoff_us: float = 100.0
     backoff_cap_us: float = 1600.0
-    #: hedge batches that sat queued longer than this; 0 disables
-    hedge_after_us: float = 0.0
     #: waiting requests beyond this depth are shed at dispatch; 0 = keep all
     shed_queue_depth: int = 0
     #: identical cards behind one queue (failover capacity)
     num_cards: int = 1
 
     def __post_init__(self) -> None:
-        if self.num_cards < 1:
-            raise ValueError("num_cards must be >= 1")
-        for name in ("deadline_us", "max_retries", "retry_backoff_us",
-                     "backoff_cap_us", "hedge_after_us",
-                     "shed_queue_depth"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for name in ("deadline_us", "retry_backoff_us", "backoff_cap_us"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{name} must be finite and >= 0, got {value!r}")
+        for name, least in (("max_retries", 0), ("shed_queue_depth", 0),
+                            ("num_cards", 1)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral)
+                    and not isinstance(value, bool) and value >= least):
+                raise ValueError(
+                    f"{name} must be an integer >= {least}, got {value!r}")
 
     def backoff_us(self, attempt: int) -> float:
         """Backoff before re-enqueueing attempt ``attempt + 1``."""

@@ -16,7 +16,7 @@ stringent latency requirements" caps how large a batch the SLA allows.
 On top of batching, a
 :class:`~repro.serving.resilience.ResilienceConfig` switches on the
 failure handling of a production serving tier (deadlines, retries,
-hedging, load shedding and card failover), all off by default.
+load shedding and card failover), all off by default.
 
 The simulation attributes *every* request microsecond to one phase (so
 tail requests can be explained, not just counted — see
@@ -280,9 +280,6 @@ class ServingReport(OutcomeQueries):
     attempts: np.ndarray
     #: abort instant for non-served requests (NaN for served ones)
     abort_us: np.ndarray
-    #: batches dispatched twice (hedged) and how often the hedge won
-    hedged_batches: int = 0
-    hedge_wins: int = 0
     #: bounded mergeable telemetry (:class:`ServingTelemetry`), attached
     #: when the simulation ran with ``collect_telemetry=True``
     telemetry: Optional[object] = None
@@ -406,9 +403,9 @@ def simulate_serving(latency_model: Callable[[int], float],
     looked-up value per dispatch.  Each card runs one batch at a time;
     attempts queue FIFO in (enqueue time, arrival order).
     ``resilience`` sets the failure handling (the default turns all of
-    it off: one card, no deadlines, no retries, no hedging, no
-    shedding).  Without ``faults``, deadlines or shedding on one card,
-    nothing can abort, so the run takes a straight-line batching pass
+    it off: one card, no deadlines, no retries, no shedding).  Without
+    ``faults``, deadlines or shedding on one card, nothing can abort,
+    so the run takes a straight-line batching pass
     (:func:`_batching_window`); everything else takes the general loop,
     which gives the same report for that configuration.
 
@@ -457,8 +454,6 @@ def simulate_serving(latency_model: Callable[[int], float],
     busy_us = 0.0
     span_end = float(arrivals[0]) if n else 0.0
     served = 0
-    hedged_batches = 0
-    hedge_wins = 0
     retry_seq = n
 
     # The loop reads arrival times from a list (Python floats: no numpy
@@ -476,7 +471,7 @@ def simulate_serving(latency_model: Callable[[int], float],
     straight_line = (faults is None and cfg.num_cards == 1
                      and not deadline and not cfg.shed_queue_depth)
     if straight_line:
-        # nothing can time out, fail, be shed or be hedged: every
+        # nothing can time out, fail or be shed: every
         # request is served on its first attempt by the plain window,
         # and the general loop below has nothing left to do
         busy_us, finish, batches, served_runs = _batching_window(
@@ -529,33 +524,6 @@ def simulate_serving(latency_model: Callable[[int], float],
         execute[r] = max(0.0, fail_t - max(dispatch, attempt_t))
         latencies[r] = fail_t - times[r]
         span_end = max(span_end, fail_t)
-
-    def run_copy(card: int, at: float, size: int
-                 ) -> Tuple[float, float, float, Optional[float]]:
-        """Dispatch one batch copy: (start, exec_us, finish, death)."""
-        nonlocal busy_us, span_end
-        start = start_on(card, at)
-        if not math.isfinite(start):
-            # the card died for good between batch formation and
-            # dispatch; the serving tier discovers it at dispatch time
-            return math.inf, 0.0, math.inf, at
-        exec_us = batch_latency(size)
-        if faults is not None:
-            exec_us *= faults.card_slowdown(card, start)
-        finish = start + exec_us
-        death = (faults.card_failure_in(card, start, finish)
-                 if faults is not None else None)
-        if death is not None:
-            # the in-flight batch dies with the card; the card comes
-            # back (or not) on the fault plan's schedule
-            free[card] = faults.card_available_at(card, death)
-            busy_us += death - start
-            span_end = max(span_end, death)
-            return start, exec_us, finish, death
-        free[card] = finish
-        busy_us += exec_us
-        span_end = max(span_end, finish)
-        return start, exec_us, finish, None
 
     def deadline_cut(lo: int, hi: int, at: float) -> int:
         """End of the first attempts in ``lo:hi`` whose deadline is
@@ -655,31 +623,32 @@ def simulate_serving(latency_model: Callable[[int], float],
                                STATUS_FAILED, ready, math.inf)
             continue
 
-        # -- dispatch (possibly hedged on the two earliest-free cards)
-        copies = [run_copy(card, dispatch_at, size)]
-        if (cfg.hedge_after_us and cfg.num_cards > 1
-                and dispatch_at - ready > cfg.hedge_after_us):
-            others = [c for c in range(cfg.num_cards)
-                      if c != card and math.isfinite(start_on(c, dispatch_at))]
-            if others:
-                hedge = min(others,
-                            key=lambda c: (start_on(c, dispatch_at), c))
-                copies.append(run_copy(hedge, dispatch_at, size))
-                hedged_batches += 1
-
-        alive = [(fin, idx) for idx, (_s, _e, fin, death)
-                 in enumerate(copies) if death is None]
-        if not alive:
-            # every copy died with its card mid-execute
-            lost_at = max(death for _s, _e, _f, death in copies)
+        # -- dispatch on the earliest-free card
+        start = start_on(card, dispatch_at)
+        death = None
+        if not math.isfinite(start):
+            # the card died for good between batch formation and
+            # dispatch; the serving tier discovers it at dispatch time
+            death = dispatch_at
+        elif faults is not None:
+            exec_us = batch_latency(size) * faults.card_slowdown(card, start)
+            death = faults.card_failure_in(card, start, start + exec_us)
+            if death is not None:
+                # the in-flight batch dies with the card; the card comes
+                # back (or not) on the fault plan's schedule
+                free[card] = faults.card_available_at(card, death)
+                busy_us += death - start
+                span_end = max(span_end, death)
+        else:
+            exec_us = batch_latency(size)
+        if death is not None:
             for t, _seq, r, attempt in sorted(held + originals(lo, hi)):
-                finish_attempt(r, attempt, t, lost_at, STATUS_FAILED,
-                               ready, copies[0][0])
+                finish_attempt(r, attempt, t, death, STATUS_FAILED,
+                               ready, start)
             continue
-        finish, winner = min(alive)
-        start, exec_us = copies[winner][0], copies[winner][1]
-        if winner != 0:
-            hedge_wins += 1
+        finish = free[card] = start + exec_us
+        busy_us += exec_us
+        span_end = max(span_end, finish)
         first_t = min(held[0][0] if held else math.inf,
                       times[lo] if hi > lo else math.inf)
 
@@ -737,8 +706,6 @@ def simulate_serving(latency_model: Callable[[int], float],
         retry_overhead_us=retry_overhead,
         attempts=attempts_out,
         abort_us=abort_us,
-        hedged_batches=hedged_batches,
-        hedge_wins=hedge_wins,
     )
     if collect_telemetry:
         from repro.serving.telemetry import ServingTelemetry

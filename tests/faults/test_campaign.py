@@ -27,9 +27,19 @@ class TestCampaignDeterminism:
         again = run_campaign(tiny_config())
         assert to_json(again) == to_json(tiny_report)
 
-    def test_jobs_do_not_change_the_report(self, tiny_report):
+    def test_jobs_do_not_change_the_report(self, tiny_report, tmp_path):
         parallel = run_campaign(tiny_config(), jobs=2)
         assert to_json(parallel) == to_json(tiny_report)
+        # and the CLI's JSON files, byte for byte
+        from repro.faults.__main__ import main
+        written = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}.json"
+            assert main(["--seeds", "2", "--requests", "400",
+                         "--no-hardware", "--no-failover", "--quiet",
+                         "--jobs", jobs, "--json", str(out)]) == 0
+            written.append(out.read_bytes())
+        assert written[0] == written[1]
 
     def test_seed_changes_the_report(self, tiny_report):
         shifted = run_campaign(tiny_config(seed_start=100))
@@ -122,10 +132,8 @@ class TestFailoverFeedback:
         assert failover["cards_after"] == failover["cards_before"] - 1
 
     def test_run_scenario_applies_failover_slowdown(self):
-        fast = run_scenario("card_failure", 0,
-                            tiny_config(failover_slowdown=1.0))
-        slow = run_scenario("card_failure", 0,
-                            tiny_config(failover_slowdown=3.0))
+        fast = run_scenario("card_failure", 0, tiny_config(), 1.0)
+        slow = run_scenario("card_failure", 0, tiny_config(), 3.0)
         assert (slow["faulted"]["p99_us"] > fast["faulted"]["p99_us"]
                 or slow["faulted"]["availability"]
                 < fast["faulted"]["availability"])

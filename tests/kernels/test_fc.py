@@ -5,8 +5,7 @@ import pytest
 
 from repro import Accelerator
 from repro.config import MTIA_V1
-from repro.kernels.fc import (FCPlan, _auto_subgrid, padded_shape,
-                              plan_fc, run_fc)
+from repro.kernels.fc import FCPlan, _auto_subgrid, plan_fc, run_fc
 from repro.sim import SimulationError
 
 
@@ -55,6 +54,12 @@ class TestPlanning:
             plan_fc(sub, 100, 64, 64)
         with pytest.raises(SimulationError, match="multiple"):
             plan_fc(sub, 128, 48, 64, k_split=1)
+        # no pass pads a GEMM to the tile: run_fc refuses an unaligned
+        # shape before any simulation
+        with pytest.raises(SimulationError,
+                           match="m=100 must be a multiple of 64x1 rows"):
+            run_fc(accelerator, m=100, k=50, n=37,
+                   subgrid=accelerator.subgrid((0, 0), 1, 1))
 
     def test_local_memory_budget_enforced(self, accelerator):
         sub = accelerator.subgrid((0, 0), 1, 1)
@@ -185,51 +190,3 @@ class TestPerformanceBehaviour:
         pe = acc.grid.pe(0, 0)
         assert pe.dpe_unit.stats["operand_cache_hits"] > 0
 
-
-class TestAutoPad:
-    @pytest.mark.parametrize("m,k,n", [(100, 50, 37), (1, 1, 1),
-                                       (65, 96, 129), (63, 31, 65)])
-    def test_arbitrary_shapes_bit_exact(self, m, k, n):
-        rng = np.random.default_rng(42)
-        a = rng.integers(-128, 128, (m, k), dtype=np.int8)
-        b_t = rng.integers(-128, 128, (n, k), dtype=np.int8)
-        acc = Accelerator()
-        result = run_fc(acc, a, b_t, subgrid=acc.subgrid((0, 0), 1, 1),
-                        auto_pad=True)
-        expected = b_t.astype(np.int32) @ a.astype(np.int32).T
-        assert result.c_t.shape == (n, m)
-        np.testing.assert_array_equal(result.c_t, expected)
-
-    def test_auto_pad_on_multi_pe_grid(self):
-        rng = np.random.default_rng(3)
-        a = rng.integers(-128, 128, (130, 70), dtype=np.int8)
-        b_t = rng.integers(-128, 128, (90, 70), dtype=np.int8)
-        acc = Accelerator()
-        result = run_fc(acc, a, b_t, subgrid=acc.subgrid((0, 0), 2, 2),
-                        k_split=2, auto_pad=True)
-        expected = b_t.astype(np.int32) @ a.astype(np.int32).T
-        np.testing.assert_array_equal(result.c_t, expected)
-
-    def test_macs_count_useful_work_only(self):
-        acc = Accelerator()
-        rng = np.random.default_rng(0)
-        a = rng.integers(-128, 128, (100, 64), dtype=np.int8)
-        b_t = rng.integers(-128, 128, (37, 64), dtype=np.int8)
-        result = run_fc(acc, a, b_t, subgrid=acc.subgrid((0, 0), 1, 1),
-                        auto_pad=True)
-        assert result.macs == 100 * 64 * 37
-
-    def test_padded_shape_helper(self, accelerator):
-        sub = accelerator.subgrid((0, 0), 2, 4)
-        pm, pk, pn = padded_shape(100, 50, 37, sub, k_split=2)
-        assert pm == 128      # 64 x 2 rows
-        assert pk == 64       # 32 x 2 splits
-        assert pn == 128      # 64 x 2 column groups
-        # already-tiled shapes are unchanged
-        assert padded_shape(128, 64, 128, sub, 2) == (128, 64, 128)
-
-    def test_aligned_shapes_untouched(self):
-        acc = Accelerator()
-        result = run_fc(acc, m=64, k=64, n=64,
-                        subgrid=acc.subgrid((0, 0), 1, 1), auto_pad=True)
-        assert result.c_t.shape == (64, 64)

@@ -90,7 +90,7 @@ def test_general_loop_with_faults_and_deadline(built, lc2_latency):
         lc2_latency, 30_000, BatchingConfig(128, 300), num_requests=5_000,
         registry=MetricRegistry(), collect_telemetry=True,
         resilience=ResilienceConfig(num_cards=2, deadline_us=1_000.0,
-                                    max_retries=2, hedge_after_us=200.0),
+                                    max_retries=2),
         faults=FaultInjector(plan))
     read_everything(report, lc2_latency)
     counts = report.counts_by_status()

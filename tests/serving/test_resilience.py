@@ -196,10 +196,9 @@ SCENARIOS = [
     ("no-requests", BatchingConfig(), 0.0, {"arrivals": []}),
     ("drawn-no-requests", BatchingConfig(), 1_000, {"num_requests": 0}),
     ("one-request", BatchingConfig(), 0.0, {"arrivals": [7.5]}),
-    # with one card and no deadline, retries and hedging cannot act
-    ("inert-retries-and-hedging", BatchingConfig(8, 100.0), 40_000,
-     {"num_requests": 3000,
-      "resilience": ResilienceConfig(max_retries=3, hedge_after_us=50.0)}),
+    # with one card and no deadline, retries cannot act
+    ("inert-retries-one-card", BatchingConfig(8, 100.0), 40_000,
+     {"num_requests": 3000, "resilience": ResilienceConfig(max_retries=3)}),
 ]
 
 
@@ -247,10 +246,9 @@ class TestStraightLinePassMatchesGeneralLoop:
         ({"resilience": ResilienceConfig(deadline_us=5_000.0)}, False),
         ({"resilience": ResilienceConfig(shed_queue_depth=64)}, False),
         ({"resilience": ResilienceConfig(num_cards=2)}, False),
-        ({"resilience": ResilienceConfig(max_retries=3,
-                                         hedge_after_us=50.0)}, True),
+        ({"resilience": ResilienceConfig(max_retries=3)}, True),
     ], ids=["default", "empty-injector", "deadline", "shedding",
-            "two-cards", "inert-retries-and-hedging"])
+            "two-cards", "inert-retries-one-card"])
     def test_selection_rule(self, monkeypatch, case, straight_line):
         calls = []
         real = simulator._batching_window
@@ -416,30 +414,6 @@ class TestCardFailures:
         assert slow.availability == 1.0
 
 
-class TestHedging:
-    def test_hedged_dispatch_can_win(self):
-        # card 0 keeps dying mid-execute; under queue pressure batches
-        # hedge onto card 1 and the hedge copy survives the outage
-        events = tuple(FaultEvent(start=s, kind="card.failure", target=0,
-                                  duration=80.0)
-                       for s in np.arange(200.0, 120_000.0, 300.0))
-        res = ResilienceConfig(num_cards=2, hedge_after_us=30.0,
-                               max_retries=1)
-        report = resilient(qps=60_000, batching=TIGHT_BATCHING, res=res,
-                           n=2000, plan=FaultPlan(events=events))
-        assert report.hedged_batches > 0
-        assert report.hedge_wins >= 1
-        assert report.availability == 1.0
-        assert_attribution_invariant(report)
-
-    def test_no_hedging_on_single_card(self):
-        res = ResilienceConfig(num_cards=1, hedge_after_us=1.0)
-        report = resilient(qps=300_000, batching=TIGHT_BATCHING, res=res,
-                           n=400)
-        assert report.hedged_batches == 0
-        assert report.hedge_wins == 0
-
-
 class TestShedding:
     def test_overload_sheds_beyond_depth(self):
         res = ResilienceConfig(shed_queue_depth=32)
@@ -518,10 +492,22 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field", ["deadline_us", "max_retries",
                                        "retry_backoff_us", "backoff_cap_us",
-                                       "hedge_after_us", "shed_queue_depth"])
+                                       "shed_queue_depth"])
     def test_negative_knobs_rejected(self, field):
         with pytest.raises(ValueError, match=field):
             ResilienceConfig(**{field: -1})
+
+    @pytest.mark.parametrize("field, value", [
+        ("retry_backoff_us", float("nan")), ("deadline_us", float("nan")),
+        ("backoff_cap_us", float("inf")), ("deadline_us", float("inf")),
+        ("max_retries", 1.5), ("shed_queue_depth", 2.5),
+        ("num_cards", 2.0), ("max_retries", True)])
+    def test_non_finite_times_and_fractional_counts_rejected(self, field,
+                                                             value):
+        # a NaN backoff used to spin simulate_serving forever, a NaN
+        # deadline silently disabled timeouts
+        with pytest.raises(ValueError, match=field):
+            ResilienceConfig(**{field: value})
 
     def test_invalid_qps_rejected(self):
         with pytest.raises(ValueError):
@@ -534,8 +520,7 @@ class TestDeterminism:
         plan = FaultPlan.generate(5, kinds=("card.failure",
                                             "card.slowdown"))
         res = ResilienceConfig(num_cards=2, deadline_us=2_000.0,
-                               max_retries=2, hedge_after_us=100.0,
-                               shed_queue_depth=64)
+                               max_retries=2, shed_queue_depth=64)
         a = resilient(qps=40_000, batching=TIGHT_BATCHING, res=res,
                       n=500, plan=plan)
         b = resilient(qps=40_000, batching=TIGHT_BATCHING, res=res,
@@ -544,8 +529,6 @@ class TestDeterminism:
                      "retry_overhead_us", "abort_us", "batch_index"):
             np.testing.assert_array_equal(getattr(a, name),
                                           getattr(b, name), err_msg=name)
-        assert a.hedged_batches == b.hedged_batches
-        assert a.hedge_wins == b.hedge_wins
 
     def test_metrics_record_availability_and_outcomes(self):
         registry = MetricRegistry()
